@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from paritrace.automata import (
     RankedAlphabet,
     WordGenParams,
     buchi_to_parity,
+    parse,
     random_word_automaton,
 )
 from paritrace.harness import appendix_automaton, intro_automaton
@@ -23,6 +26,7 @@ from paritrace.omega_input import (
     normalize,
     parse_decorated_lasso,
     parse_lasso,
+    parse_tree,
     random_lasso,
     unroll,
 )
@@ -420,3 +424,55 @@ class TestDecoratedImpliesOrdinary:
                 positives += 1
                 assert parity_trace_membership(aut, x, flatten_word(xi)).value
         assert positives > 10
+
+
+SOLVE_COUNTERS = Path(__file__).parent / "data" / "solve_counters.json"
+
+
+def _solve_counter_case(case) -> dict:
+    aut = parse(case["automaton"])
+    x, text, kind = case["state"], case["input"], case["kind"]
+    if kind == "infinitary":
+        return {"verdict": infinitary_trace_membership(aut, x, parse_lasso(text))}
+    if kind == "finite":
+        word = tuple(text.split(",")) if text else ()
+        return {"verdict": finite_trace_membership(aut, x, word)}
+    if kind == "lasso":
+        v = parity_trace_membership(aut, x, parse_lasso(text))
+    elif kind == "buchi":
+        v = buchi_trace_membership(aut, x, parse_lasso(text))
+    elif kind == "decorated-lasso":
+        v = decorated_trace_membership(aut, x, parse_decorated_lasso(text))
+    elif kind == "tree":
+        v = tree_language_membership(aut, x, parse_tree(text))
+    elif kind == "decorated-tree":
+        v = decorated_trace_membership(aut, x, parse_tree(text))
+    else:
+        raise AssertionError(f"unknown case kind {kind!r}")
+    return {
+        "verdict": v.value,
+        "iterations": list(v.stats.iterations),
+        "body_evals": v.stats.body_evals,
+    }
+
+
+class TestSolveCounters:
+    """Verdicts and work counters pinned on a seeded mix of every input kind.
+
+    The expected values were recorded once and are never regenerated: equal
+    iteration and body-evaluation counts show that a rebuilt restricted
+    system has extensionally the same bodies as the one that was recorded.
+    """
+
+    def test_recorded_counters_reproduce(self):
+        cases = json.loads(SOLVE_COUNTERS.read_text(encoding="utf-8"))["cases"]
+        kinds = {case["kind"] for case in cases}
+        assert kinds == {
+            "lasso", "decorated-lasso", "buchi", "infinitary", "finite", "tree", "decorated-tree"
+        }
+        mismatches = [
+            (i, case["kind"], case["expected"], got)
+            for i, case in enumerate(cases)
+            if (got := _solve_counter_case(case)) != case["expected"]
+        ]
+        assert not mismatches, mismatches[:5]
