@@ -201,15 +201,6 @@ class ParityWordAutomaton:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def normalized(self) -> "ParityWordAutomaton":
-        return ParityWordAutomaton(
-            sorted(self.states),
-            sorted(self.alphabet),
-            sorted(self.transitions),
-            self.priorities,
-            self.final,
-        )
-
 
 class BuchiWordAutomaton:
     """Word automaton with an accepting-state set (the two-priority case)."""

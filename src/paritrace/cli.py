@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification disagreement or failing campaign, 2 usage/format errors.
+1 verification disagreement or failing campaign, 2 usage/format errors
+and exceeded limits (size caps, the iteration budget).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .automata import (
     buchi_to_parity,
     parse,
 )
+from .lattice import IterationBudgetError, LatticeTooLargeError
 from .omega_input import (
     DecorationError,
     InputError,
@@ -78,6 +80,16 @@ def _emit(args, text_value: str, json_doc: dict) -> None:
 
 def _bool_str(b: bool) -> str:
     return "true" if b else "false"
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("finite-traces", _cmd_finite_traces, "terminating finite words up to a length")
     p.add_argument("automaton")
     p.add_argument("--state", required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_non_negative_int, required=True)
 
     p = add("det-run", _cmd_det_run, "decorated behavior of a deterministic automaton")
     p.add_argument("automaton")
@@ -336,6 +348,9 @@ def main(argv=None) -> int:
         trace_mod.AlphabetMismatchError,
         trace_mod.GradeMismatchError,
         FileNotFoundError,
+        # exceeded limits; MonotonicityError stays uncaught: it is an engine bug
+        LatticeTooLargeError,
+        IterationBudgetError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .lattice import (
     MU,
     NU,
     FiniteLattice,
-    FunctionLattice,
     IterationBudgetError,
     MonotonicityError,
     PowersetLattice,
@@ -35,8 +34,6 @@ __all__ = [
     "Solution",
     "solve",
     "intermediate",
-    "FLetter",
-    "make_phi_body",
     "parse_hes_text",
     "HesFormatError",
 ]
@@ -74,12 +71,6 @@ class HierEqSystem:
 
     def __len__(self) -> int:
         return len(self.equations)
-
-    def var_index(self, var: str) -> int:
-        for i, eq in enumerate(self.equations):
-            if eq.var == var:
-                return i
-        raise KeyError(var)
 
     def with_signs(self, signs: Sequence[str]) -> "HierEqSystem":
         """Copy of the system with replaced signs (used by mutation testing)."""
@@ -235,84 +226,6 @@ def intermediate(hes: HierEqSystem, i: int, j: int, outer_args: Sequence[Any] = 
         raise ValueError(f"expected {m - i} outer arguments, got {len(outer_args)}")
     solver = _Solver(hes, None)
     return solver.prefix(i, outer_args)[j - 1]
-
-
-# ---------------------------------------------------------------------------
-# Equation bodies of the compose-map-decompose shape
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FLetter:
-    """One branching alternative available at a carrier cell.
-
-    ``tag`` identifies the transition behind the alternative (a letter, a
-    ranked symbol, or a decorated variant); ``slots`` lists the successor
-    requirements as ``(equation_index, domain_index, position)`` triples into
-    the joint assignment.
-    """
-
-    tag: Hashable
-    slots: tuple[tuple[int, int, int], ...]
-
-
-def make_phi_body(
-    carrier: FunctionLattice,
-    c_part: Mapping[tuple[Any, int], Sequence[FLetter]],
-    sigma_part: Callable[[tuple[Any, int], FLetter], bool],
-    *,
-    n_equations: int,
-) -> Callable[[tuple], tuple]:
-    """Build one equation body from its two finite relational parts.
-
-    The body computes, for each cell ``(d, p)`` of the carrier (domain item
-    times position), whether some alternative offered by ``c_part`` is both
-    accepted by ``sigma_part`` and has all successor slots satisfied by the
-    current assignment.  This is the one-step shape shared by every
-    restricted semantics in the trace module: decompose via the transition
-    structure, map the variables over the successors, recompose at the cell.
-
-    The resulting body is monotone by construction (slots are positive), and
-    since the sigma-part does not depend on the assignment it is applied once
-    here, leaving only slot checks on the hot path.
-    """
-    codomain = carrier.codomain
-    if not isinstance(codomain, PowersetLattice):
-        raise ValueError("carrier codomain must be a powerset of positions")
-    n_positions = len(codomain.ground)
-    by_domain: list[list[tuple[int, list]]] = [[] for _ in carrier.domain]
-    for (d, p), letters in c_part.items():
-        if d not in carrier._index:
-            raise ValueError(f"c-part cell {(d, p)!r}: {d!r} not in carrier domain")
-        if not (0 <= p < n_positions):
-            raise ValueError(f"c-part cell {(d, p)!r}: position out of range")
-        accepted = []
-        for letter in letters:
-            for (k, yi, q) in letter.slots:
-                if not (0 <= k < n_equations):
-                    raise ValueError(f"slot {(k, yi, q)}: equation index out of range")
-                if not (0 <= q < n_positions):
-                    raise ValueError(f"slot {(k, yi, q)}: position out of range")
-            if sigma_part((d, p), letter):
-                accepted.append(letter.slots)
-        if accepted:
-            by_domain[carrier.index(d)].append((p, accepted))
-
-    def body(assign: tuple) -> tuple:
-        out = []
-        for row in by_domain:
-            mask = 0
-            for p, alternatives in row:
-                for slots in alternatives:
-                    for (k, yi, q) in slots:
-                        if not (assign[k][yi] >> q) & 1:
-                            break
-                    else:
-                        mask |= 1 << p
-                        break
-            out.append(mask)
-        return tuple(out)
-
-    return body
 
 
 # ---------------------------------------------------------------------------

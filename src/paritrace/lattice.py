@@ -24,11 +24,23 @@ MAX_ENUM = 256
 
 
 def default_iteration_budget() -> int:
-    """Global cap on fixpoint iterations, overridable via environment."""
+    """Global cap on fixpoint iterations, overridable via environment.
+
+    ``PARITRACE_ITER_BUDGET`` must be a positive integer when set; any other
+    value raises IterationBudgetError.
+    """
     raw = os.environ.get("PARITRACE_ITER_BUDGET")
-    if raw:
-        return int(raw)
-    return 1_000_000
+    if not raw:
+        return 1_000_000
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise IterationBudgetError(
+            f"PARITRACE_ITER_BUDGET must be a positive integer, got {raw!r}"
+        )
+    return budget
 
 
 class LatticeError(Exception):
@@ -40,7 +52,8 @@ class LatticeTooLargeError(LatticeError):
 
 
 class IterationBudgetError(LatticeError):
-    """Kleene iteration did not stabilise within its budget.
+    """Kleene iteration did not stabilise within its budget, or the budget
+    itself is not a positive integer.
 
     On a finite lattice this signals a body that is not a function into the
     lattice, or a budget set below the lattice height.
@@ -102,10 +115,6 @@ class FiniteLattice(ABC):
                 f"lattice has {self.size()} elements, enumeration capped at {max_size}"
             )
         return self._iter_elements()
-
-    def contains(self, a: Any) -> bool:
-        """Cheap sanity check that ``a`` has this lattice's element shape."""
-        return self.leq(self.bottom, a) and self.leq(a, self.top)
 
 
 class PowersetLattice(FiniteLattice):
@@ -224,10 +233,6 @@ class FunctionLattice(FiniteLattice):
 
     def get(self, elem: tuple, d: Any) -> Any:
         return elem[self._index[d]]
-
-    def update(self, elem: tuple, d: Any, value: Any) -> tuple:
-        i = self._index[d]
-        return elem[:i] + (value,) + elem[i + 1 :]
 
     def __repr__(self) -> str:
         return f"FunctionLattice({list(self.domain)!r}, {self.codomain!r})"

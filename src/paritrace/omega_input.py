@@ -91,9 +91,6 @@ class LassoWord:
         q = p + 1
         return q if q < self.n_positions else len(self.stem)
 
-    def letters(self) -> tuple[str, ...]:
-        return self.stem + self.cycle
-
     def __str__(self) -> str:
         return format_lasso(self)
 

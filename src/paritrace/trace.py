@@ -4,7 +4,9 @@ Membership of a finitely represented input in an automaton's trace
 semantics is decided by *restricting* the defining equation system to the
 input: the carrier of the equation for priority class i becomes the finite
 map lattice (states of priority i) -> (sets of input positions), where a
-position is a suffix class of the lasso or a node of the tree generator.
+position is a node of the input's pointed generator: a suffix class of a
+lasso, a node of a tree generator, or a letter (or the end marker) of a
+finite word.  One builder, ``_restricted_system``, serves every input kind.
 Equation bodies act position-locally, so the restriction is closed under
 them; its adequacy is enforced empirically by the differential oracle
 suite rather than proven.
@@ -18,7 +20,7 @@ answers mean "some run realises exactly this decoration".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from . import hes as hes_mod
 from .automata import (
@@ -27,10 +29,17 @@ from .automata import (
     DeterministicExceptionAutomaton,
     ParityTreeAutomaton,
     ParityWordAutomaton,
-    buchi_to_parity,
 )
-from .hes import Equation, FLetter, HierEqSystem, make_phi_body
-from .lattice import MU, NU, FunctionLattice, PowersetLattice, kleene_fixpoint
+from .hes import Equation, HierEqSystem
+from .lattice import (
+    MAX_GROUND,
+    MU,
+    NU,
+    FunctionLattice,
+    LatticeTooLargeError,
+    PowersetLattice,
+    kleene_fixpoint,
+)
 from .omega_input import (
     DecoratedLassoWord,
     DecoratedRegularTreeRep,
@@ -53,6 +62,7 @@ __all__ = [
     "FlatteningReport",
     "RestrictedHes",
     "build_restricted_hes",
+    "make_phi_body",
     "parity_trace_membership",
     "buchi_trace_membership",
     "decorated_trace_membership",
@@ -123,133 +133,169 @@ class MembershipVerdict:
 class RestrictedHes:
     """An equation system restricted to one (automaton, input) pair.
 
-    Equation i-1 (0-based) belongs to priority class i and lives in the
-    lattice (states of priority i) -> P(positions).  Empty priority classes
-    keep their equation over a one-point lattice so the indexing of the
-    defining system stays intact.
+    Equation i-1 (0-based) belongs to priority class i (or, for the Büchi
+    and run-existence systems, to block i of their partition) and lives in
+    the lattice (states of that class) -> P(positions).  Empty priority
+    classes keep their equation over a one-point lattice so the indexing of
+    the defining system stays intact.
     """
 
-    def __init__(self, hes, carriers, positions, start, mode, kind):
+    def __init__(self, hes, carriers, positions, start):
         self.hes: HierEqSystem = hes
         self.carriers: tuple[FunctionLattice, ...] = tuple(carriers)
         self.positions = tuple(positions)
         self.start = start
-        self.mode = mode
-        self.kind = kind
-
-    @property
-    def two_n(self) -> int:
-        return len(self.carriers)
 
     def member(self, assignment: tuple, state: str, priority: int, pos=None) -> bool:
         """Does the suffix at ``pos`` (default: the input itself) belong to
         the solved variable of ``state``?"""
         pos = self.start if pos is None else pos
-        carrier = self.carriers[priority - 1]
-        mask = carrier.get(assignment[priority - 1], state)
-        return bool((mask >> self.positions.index(pos)) & 1)
+        mask = self.carriers[priority - 1].get(assignment[priority - 1], state)
+        return bool((mask >> pos) & 1)
 
     def solve(self, **kwargs) -> hes_mod.Solution:
         return hes_mod.solve(self.hes, **kwargs)
 
 
-def _stats(sol: hes_mod.Solution) -> SolveStats:
-    return SolveStats(sol.iterations, sol.body_evals)
+def _verdict(rh: RestrictedHes, x: str, block: int) -> MembershipVerdict:
+    """Solve ``rh`` and ask whether the input lies in ``x``'s variable."""
+    sol = rh.solve()
+    value = rh.member(sol.assignment, x, block)
+    return MembershipVerdict(value, stats=SolveStats(sol.iterations, sol.body_evals))
 
 
 # ---------------------------------------------------------------------------
 # Restricted-system construction
 # ---------------------------------------------------------------------------
 
-def _word_positions(w) -> tuple[int, ...]:
-    return tuple(range(w.n_positions))
-
-
-def _word_system(
-    aut: ParityWordAutomaton,
-    w,
+def make_phi_body(
+    rows: Sequence[Sequence[tuple[int, Sequence[tuple]]]],
     *,
-    decorated: bool,
-    partition: list[tuple[str, ...]] | None = None,
-    signs: list[str] | None = None,
-) -> RestrictedHes:
-    """Shared builder for the word-case restricted systems.
+    n_positions: int,
+    n_equations: int,
+) -> Callable[[tuple], tuple]:
+    """Build one equation body of the compose-map-recompose shape.
 
-    ``partition[k]`` lists the states of equation k; successor slots send a
-    state y to the equation ``class_of[y]``.  The c-part offers every
-    transition of a state at every position; the sigma-part accepts exactly
-    the alternatives whose letter (and, in decorated mode, whose priority)
-    matches the input at that position.
+    ``rows[d]`` belongs to the d-th domain item of the equation's carrier
+    and lists ``(p, alternatives)`` pairs: the alternatives are the
+    transitions that match the input at position ``p``, each given as its
+    successor slots ``(equation_index, domain_index, position)`` into the
+    joint assignment.  The body puts ``p`` into the set of item ``d`` when
+    some alternative has all its slots satisfied by the current assignment.
+
+    The body is monotone by construction (slots are positive).  Positions
+    absent from a row are never in that item's set.
     """
-    positions = _word_positions(w)
-    if decorated:
-        letters = {sym for sym, _ in w.stem + w.cycle}
-    else:
-        letters = set(w.stem + w.cycle)
-    missing = letters - set(aut.alphabet)
-    if missing:
-        raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
-    if partition is None:
-        partition = [aut.priority_class(i) for i in range(1, aut.two_n + 1)]
-        signs = [MU if i % 2 == 1 else NU for i in range(1, aut.two_n + 1)]
-        if decorated:
-            signs = [NU] * aut.two_n
-    class_of = {}
-    index_in_class = {}
-    for k, block in enumerate(partition):
-        for yi, y in enumerate(block):
-            class_of[y] = k
-            index_in_class[y] = yi
-    moves_by_state: dict[str, list] = {y: [] for y in aut.states}
-    for (src, a, y) in aut.transitions:
-        moves_by_state[src].append((a, class_of[y], index_in_class[y]))
+    for row in rows:
+        for p, alternatives in row:
+            if not (0 <= p < n_positions):
+                raise ValueError(f"cell position {p}: out of range")
+            for slots in alternatives:
+                for (k, yi, q) in slots:
+                    if not (0 <= k < n_equations):
+                        raise ValueError(f"slot {(k, yi, q)}: equation index out of range")
+                    if not (0 <= q < n_positions):
+                        raise ValueError(f"slot {(k, yi, q)}: position out of range")
+
+    def body(assign: tuple) -> tuple:
+        out = []
+        for row in rows:
+            mask = 0
+            for p, alternatives in row:
+                for slots in alternatives:
+                    for (k, yi, q) in slots:
+                        if not (assign[k][yi] >> q) & 1:
+                            break
+                    else:
+                        mask |= 1 << p
+                        break
+            out.append(mask)
+        return tuple(out)
+
+    return body
+
+
+def _restricted_system(moves, labels, children, root, partition, signs, prios=None):
+    """Restrict the equation system given by ``partition`` and ``signs`` to
+    the pointed generator ``(labels, children, root)``.
+
+    Positions are ``0 .. len(labels) - 1``; position ``p`` carries the symbol
+    ``labels[p]`` and has the child positions ``children[p]``.  ``moves`` maps
+    ``(state, symbol)`` to the successor-state tuples of its transitions,
+    whose i-th state must hold at ``children[p][i]``.  Equation k ranges over
+    the states of ``partition[k]``.  In decorated mode ``prios`` gives each
+    position's priority, and equation k admits position p only when
+    ``prios[p] == k + 1``.
+    """
+    positions = tuple(range(len(labels)))
     pos_lat = PowersetLattice(positions)
-    n_eq = len(partition)
-
-    at = w.letter  # (sym, prio) pairs in decorated mode, letters otherwise
-
+    slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
     equations = []
     carriers = []
     for k, block in enumerate(partition):
+        admitted = [p for p in positions if prios is None or prios[p] == k + 1]
+        rows = []
+        for x in block:
+            row = []
+            for p in admitted:
+                targets = moves.get((x, labels[p]))
+                if targets:
+                    kids = children[p]
+                    row.append(
+                        (p, [tuple(slot_of[y] + (q,) for y, q in zip(ys, kids)) for ys in targets])
+                    )
+            rows.append(row)
         carrier = FunctionLattice(block, pos_lat)
         carriers.append(carrier)
-        c_part: dict = {}
-        for x in block:
-            moves = moves_by_state[x]
-            for p in positions:
-                nxt = w.next_pos(p)
-                c_part[(x, p)] = tuple(
-                    FLetter(a, ((ky, yi, nxt),)) for (a, ky, yi) in moves
-                )
-        if decorated:
-            prio_of_eq = k + 1
-
-            def sigma(cell, letter, _prio=prio_of_eq):
-                sym, q = at(cell[1])
-                return letter.tag == sym and q == _prio
-        else:
-
-            def sigma(cell, letter):
-                return letter.tag == at(cell[1])
-
-        body = make_phi_body(carrier, c_part, sigma, n_equations=n_eq)
+        body = make_phi_body(rows, n_positions=len(positions), n_equations=len(partition))
         equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
-    return RestrictedHes(
-        HierEqSystem(equations),
-        carriers,
-        positions,
-        0,
-        "decorated" if decorated else "ordinary",
-        "word",
-    )
+    return RestrictedHes(HierEqSystem(equations), carriers, positions, root)
 
 
-def _tree_system(aut: ParityTreeAutomaton, t, *, decorated: bool) -> RestrictedHes:
+def _moves(transitions) -> dict:
+    """``(state, symbol) -> [successor-state tuple, ...]`` in transition order."""
+    moves: dict = {}
+    for x, sym, targets in transitions:
+        moves.setdefault((x, sym), []).append(targets)
+    return moves
+
+
+def _word_moves(aut) -> dict:
+    return _moves((x, a, (y,)) for (x, a, y) in aut.transitions)
+
+
+def _parity_blocks(aut, decorated: bool):
+    """The defining system's partition into priority classes, and its signs."""
+    partition = [aut.priority_class(i) for i in range(1, aut.two_n + 1)]
+    if decorated:
+        return partition, [NU] * aut.two_n
+    return partition, [MU if i % 2 == 1 else NU for i in range(1, aut.two_n + 1)]
+
+
+def _split_labels(labels, decorated: bool):
+    """Separate decorated ``(symbol, priority)`` labels into two tuples."""
+    if not decorated:
+        return tuple(labels), None
+    return tuple(sym for sym, _ in labels), tuple(q for _, q in labels)
+
+
+def _lasso_generator(aut, w, decorated: bool):
+    """The unary generator of a lasso: position p has the one child
+    ``next_pos(p)``."""
+    n = w.n_positions
+    labels, prios = _split_labels([w.letter(p) for p in range(n)], decorated)
+    missing = set(labels) - set(aut.alphabet)
+    if missing:
+        raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
+    return labels, tuple((w.next_pos(p),) for p in range(n)), 0, prios
+
+
+def _tree_generator(aut, t, decorated: bool):
+    """The node graph of a regular tree, nodes numbered in declaration order."""
     nodes = t.node_ids()
-    pos_index = {n: i for i, n in enumerate(nodes)}
-    for n in nodes:
-        lab = t.label(n)
-        sym = lab[0] if decorated else lab
+    index = {n: i for i, n in enumerate(nodes)}
+    labels, prios = _split_labels([t.label(n) for n in nodes], decorated)
+    for n, sym in zip(nodes, labels):
         if sym not in aut.alphabet:
             raise AlphabetMismatchError(f"tree symbol {sym!r} not in automaton alphabet")
         if aut.alphabet.arity(sym) != len(t.children(n)):
@@ -257,60 +303,8 @@ def _tree_system(aut: ParityTreeAutomaton, t, *, decorated: bool) -> RestrictedH
                 f"node {n!r}: symbol {sym!r} has arity {aut.alphabet.arity(sym)}, "
                 f"tree gives {len(t.children(n))} children"
             )
-    partition = [aut.priority_class(i) for i in range(1, aut.two_n + 1)]
-    signs = (
-        [NU] * aut.two_n
-        if decorated
-        else [MU if i % 2 == 1 else NU for i in range(1, aut.two_n + 1)]
-    )
-    class_of = {y: aut.priority(y) - 1 for y in aut.states}
-    index_in_class = {y: partition[class_of[y]].index(y) for y in aut.states}
-    pos_lat = PowersetLattice(tuple(range(len(nodes))))
-    n_eq = aut.two_n
-
-    equations = []
-    carriers = []
-    for k, block in enumerate(partition):
-        carrier = FunctionLattice(block, pos_lat)
-        carriers.append(carrier)
-        c_part: dict = {}
-        for x in block:
-            trans = aut.transitions_from(x)
-            for n in nodes:
-                kids = t.children(n)
-                letters = []
-                for sym, targets in trans:
-                    if len(targets) != len(kids):
-                        continue
-                    slots = tuple(
-                        (class_of[y], index_in_class[y], pos_index[c])
-                        for y, c in zip(targets, kids)
-                    )
-                    letters.append(FLetter(sym, slots))
-                c_part[(x, pos_index[n])] = tuple(letters)
-        if decorated:
-            prio_of_eq = k + 1
-
-            def sigma(cell, letter, _prio=prio_of_eq, _nodes=nodes):
-                sym, q = t.label(_nodes[cell[1]])
-                return letter.tag == sym and q == _prio
-        else:
-
-            def sigma(cell, letter, _nodes=nodes):
-                return letter.tag == t.label(_nodes[cell[1]])
-
-        body = make_phi_body(carrier, c_part, sigma, n_equations=n_eq)
-        equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
-    rh = RestrictedHes(
-        HierEqSystem(equations),
-        carriers,
-        tuple(range(len(nodes))),
-        pos_index[t.root],
-        "decorated" if decorated else "ordinary",
-        "tree",
-    )
-    rh.node_ids = nodes
-    return rh
+    children = tuple(tuple(index[c] for c in t.children(n)) for n in nodes)
+    return labels, children, index[t.root], prios
 
 
 def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHes:
@@ -327,14 +321,19 @@ def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHe
             raise TypeError("decorated mode needs a DecoratedLassoWord")
         if not decorated and not isinstance(input_obj, LassoWord):
             raise TypeError("ordinary mode needs a LassoWord")
-        return _word_system(aut, input_obj, decorated=decorated)
-    if isinstance(aut, ParityTreeAutomaton):
+        moves = _word_moves(aut)
+        labels, children, root, prios = _lasso_generator(aut, input_obj, decorated)
+    elif isinstance(aut, ParityTreeAutomaton):
         if decorated and not isinstance(input_obj, DecoratedRegularTreeRep):
             raise TypeError("decorated mode needs a DecoratedRegularTreeRep")
         if not decorated and not isinstance(input_obj, RegularTreeRep):
             raise TypeError("ordinary mode needs a RegularTreeRep")
-        return _tree_system(aut, input_obj, decorated=decorated)
-    raise TypeError(f"cannot restrict {type(aut).__name__}")
+        moves = _moves(aut.transitions)
+        labels, children, root, prios = _tree_generator(aut, input_obj, decorated)
+    else:
+        raise TypeError(f"cannot restrict {type(aut).__name__}")
+    partition, signs = _parity_blocks(aut, decorated)
+    return _restricted_system(moves, labels, children, root, partition, signs, prios)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +350,7 @@ def parity_trace_membership(
 ) -> MembershipVerdict:
     """Is the lasso's infinite word in the parity trace semantics at x?"""
     _require_state(aut, x)
-    rh = build_restricted_hes(aut, w, "ordinary")
-    sol = rh.solve()
-    value = rh.member(sol.assignment, x, aut.priority(x))
-    return MembershipVerdict(value, stats=_stats(sol))
+    return _verdict(build_restricted_hes(aut, w, "ordinary"), x, aut.priority(x))
 
 
 def buchi_trace_membership(
@@ -366,15 +362,13 @@ def buchi_trace_membership(
     (non-accepting states under mu, accepting under nu).
     """
     _require_state(aut, x)
-    parity = buchi_to_parity(aut)
     partition = [
         tuple(s for s in aut.states if s not in aut.accepting),
         tuple(s for s in aut.states if s in aut.accepting),
     ]
-    rh = _word_system(parity, w, decorated=False, partition=partition, signs=[MU, NU])
-    sol = rh.solve()
-    value = rh.member(sol.assignment, x, 2 if x in aut.accepting else 1)
-    return MembershipVerdict(value, stats=_stats(sol))
+    labels, children, root, _ = _lasso_generator(aut, w, False)
+    rh = _restricted_system(_word_moves(aut), labels, children, root, partition, [MU, NU])
+    return _verdict(rh, x, 2 if x in aut.accepting else 1)
 
 
 def decorated_trace_membership(aut, x: str, xi) -> MembershipVerdict:
@@ -391,10 +385,7 @@ def decorated_trace_membership(aut, x: str, xi) -> MembershipVerdict:
         raise GradeMismatchError(
             f"state {x!r} has priority {aut.priority(x)}, input has grade {xi.grade}"
         )
-    rh = build_restricted_hes(aut, xi, "decorated")
-    sol = rh.solve()
-    value = rh.member(sol.assignment, x, aut.priority(x))
-    return MembershipVerdict(value, stats=_stats(sol))
+    return _verdict(build_restricted_hes(aut, xi, "decorated"), x, aut.priority(x))
 
 
 def tree_language_membership(
@@ -402,53 +393,31 @@ def tree_language_membership(
 ) -> MembershipVerdict:
     """Is the unfolding of the tree representation in the language at x?"""
     _require_state(aut, x)
-    rh = build_restricted_hes(aut, t, "ordinary")
-    sol = rh.solve()
-    value = rh.member(sol.assignment, x, aut.priority(x))
-    return MembershipVerdict(value, stats=_stats(sol))
+    return _verdict(build_restricted_hes(aut, t, "ordinary"), x, aut.priority(x))
 
 
-def _finite_word_system(aut: ParityWordAutomaton, word: tuple[str, ...]):
-    """One mu-equation over all states for membership of a finite word."""
-    missing = set(word) - set(aut.alphabet)
-    if missing:
-        raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
-    positions = tuple(range(len(word) + 1))  # len(word) is the end marker
-    pos_lat = PowersetLattice(positions)
-    carrier = FunctionLattice(aut.states, pos_lat)
-    idx = {y: i for i, y in enumerate(aut.states)}
-    c_part: dict = {}
-    end = len(word)
-    for x in aut.states:
-        moves = [(a, y) for (src, a, y) in aut.transitions if src == x]
-        for p in positions:
-            letters = []
-            if p == end:
-                letters.append(FLetter("✓", ()))
-            else:
-                for (a, y) in moves:
-                    letters.append(FLetter(a, ((0, idx[y], p + 1),)))
-            c_part[(x, p)] = tuple(letters)
-
-    def sigma(cell, letter):
-        x, p = cell
-        if letter.tag == "✓":
-            return x in aut.final
-        return letter.tag == word[p]
-
-    body = make_phi_body(carrier, c_part, sigma, n_equations=1)
-    system = HierEqSystem([Equation("u1", carrier, MU, body)])
-    return system, carrier
+#: Symbol of the nullary end position of a finite word.  It is a tuple, so
+#: it never equals a letter.
+_TICK = ("✓",)
 
 
 def finite_trace_membership(aut: ParityWordAutomaton, x: str, word) -> bool:
-    """Does some run over the finite word end with the termination flag?"""
+    """Does some run over the finite word end with the termination flag?
+
+    One mu-equation over all states, restricted to the word followed by a
+    nullary end position whose only moves are the termination flags.
+    """
     _require_state(aut, x)
     word = tuple(word)
-    system, carrier = _finite_word_system(aut, word)
-    sol = hes_mod.solve(system)
-    mask = carrier.get(sol.assignment[0], x)
-    return bool(mask & 1)
+    missing = set(word) - set(aut.alphabet)
+    if missing:
+        raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
+    moves = _word_moves(aut)
+    for y in aut.final:
+        moves[(y, _TICK)] = [()]
+    children = tuple((p + 1,) for p in range(len(word))) + ((),)
+    rh = _restricted_system(moves, word + (_TICK,), children, 0, [aut.states], [MU])
+    return rh.member(rh.solve().assignment, x, 1)
 
 
 def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozenset:
@@ -462,14 +431,14 @@ def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozense
     _require_state(aut, x)
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
-    if len(aut.alphabet) ** maxlen > 4096:
-        raise ValueError(f"maxlen {maxlen} enumerates too many words")
     words: list[tuple[str, ...]] = [()]
+    level = words
     for _ in range(maxlen):
-        words = words + [
-            (a,) + w for a in aut.alphabet for w in words if len(w) < maxlen
-        ]
-    words = sorted(set(words), key=lambda w: (len(w), w))
+        level = [(a,) + w for a in aut.alphabet for w in level]
+        words = words + level
+        if len(words) > MAX_GROUND:
+            raise LatticeTooLargeError(f"maxlen {maxlen} enumerates too many words")
+    words.sort(key=lambda w: (len(w), w))
     widx = {w: i for i, w in enumerate(words)}
     word_lat = PowersetLattice(tuple(words))
     carrier = FunctionLattice(aut.states, word_lat)
@@ -510,7 +479,8 @@ def infinitary_trace_membership(aut: ParityWordAutomaton, x: str, w: LassoWord) 
     A single nu-equation over all states.
     """
     _require_state(aut, x)
-    rh = _word_system(aut, w, decorated=False, partition=[aut.states], signs=[NU])
+    labels, children, root, _ = _lasso_generator(aut, w, False)
+    rh = _restricted_system(_word_moves(aut), labels, children, root, [aut.states], [NU])
     sol = rh.solve()
     return rh.member(sol.assignment, x, 1)
 

@@ -189,6 +189,51 @@ class TestOtherCommands:
         assert exc.value.code == 2
 
 
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+class TestLimits:
+    """Exceeded limits and bad budget values exit 2 with one error line."""
+
+    def test_over_cap_lasso(self, capsys, intro_file):
+        argv = ["member", intro_file, "--state", "x", "--lasso", ";" + "ab" * 2100]
+        code, _, err = run(capsys, argv)
+        assert_one_line_usage_error(code, err)
+        assert "4200" in err
+        code, out, _ = run(capsys, argv + ["--oracle"])
+        assert code == 0 and out == "true"
+
+    def test_iteration_budget_exhausted(self, capsys, intro_file, monkeypatch):
+        monkeypatch.setenv("PARITRACE_ITER_BUDGET", "1")
+        code, _, err = run(capsys, ["member", intro_file, "--state", "x", "--lasso", ";ba"])
+        assert_one_line_usage_error(code, err)
+
+    @pytest.mark.parametrize("text, max_len", [(INTRO, "20"), (FLAGGED, "5000")])
+    def test_finite_traces_over_cap(self, capsys, tmp_path, text, max_len):
+        path = tmp_path / "finite.aut"
+        path.write_text(text)
+        code, _, err = run(
+            capsys, ["finite-traces", str(path), "--state", "x", "--max-len", max_len]
+        )
+        assert_one_line_usage_error(code, err)
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_budget_value(self, capsys, intro_file, monkeypatch, raw):
+        monkeypatch.setenv("PARITRACE_ITER_BUDGET", raw)
+        code, _, err = run(capsys, ["member", intro_file, "--state", "x", "--lasso", ";ba"])
+        assert_one_line_usage_error(code, err)
+        assert "PARITRACE_ITER_BUDGET" in err
+
+    def test_negative_max_len(self, capsys, intro_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["finite-traces", intro_file, "--state", "x", "--max-len", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-len" in err and "Traceback" not in err
+
+
 SAMPLES = __import__("pathlib").Path(__file__).parent.parent / "samples"
 
 

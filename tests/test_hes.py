@@ -6,11 +6,9 @@ from genhes import random_hes
 
 from paritrace.hes import (
     Equation,
-    FLetter,
     HesFormatError,
     HierEqSystem,
     intermediate,
-    make_phi_body,
     parse_hes_text,
     solve,
 )
@@ -23,6 +21,7 @@ from paritrace.lattice import (
     ProductLattice,
     check_monotone_on_samples,
 )
+from paritrace.trace import make_phi_body
 
 P2 = PowersetLattice((0, 1))
 P1 = PowersetLattice(("p",))
@@ -162,41 +161,20 @@ class TestAgainstBruteForce:
 
 class TestMakePhiBody:
     def test_identity_parts_give_identity_body(self):
-        pos = PowersetLattice((0, 1, 2))
-        carrier = FunctionLattice(("x",), pos)
-        c_part = {
-            ("x", p): (FLetter(None, ((0, 0, p),)),) for p in range(3)
-        }
-        body = make_phi_body(carrier, c_part, lambda cell, letter: True, n_equations=1)
+        carrier = FunctionLattice(("x",), PowersetLattice((0, 1, 2)))
+        rows = [[(p, [((0, 0, p),)]) for p in range(3)]]
+        body = make_phi_body(rows, n_positions=3, n_equations=1)
         for elem in carrier.elements(max_size=512):
             assert body((elem,)) == elem
 
-    def test_sigma_filters(self):
-        pos = PowersetLattice((0,))
-        carrier = FunctionLattice(("x",), pos)
-        c_part = {("x", 0): (FLetter("a", ()), FLetter("b", ()))}
-        body = make_phi_body(
-            carrier, c_part, lambda cell, letter: letter.tag == "b", n_equations=1
-        )
-        assert body(((0,),)) == (1,)
-
     def test_dimension_mismatch(self):
-        pos = PowersetLattice((0,))
-        carrier = FunctionLattice(("x",), pos)
-        with pytest.raises(ValueError):
-            make_phi_body(
-                carrier,
-                {("x", 0): (FLetter(None, ((3, 0, 0),)),)},
-                lambda c, l: True,
-                n_equations=1,
-            )
-        with pytest.raises(ValueError):
-            make_phi_body(
-                carrier,
-                {("y", 0): (FLetter(None, ()),)},
-                lambda c, l: True,
-                n_equations=1,
-            )
+        for rows in (
+            [[(0, [((3, 0, 0),)])]],  # equation index
+            [[(0, [((0, 0, 1),)])]],  # slot position
+            [[(1, [()])]],  # cell position
+        ):
+            with pytest.raises(ValueError):
+                make_phi_body(rows, n_positions=1, n_equations=1)
 
     def test_restricted_bodies_monotone_on_samples(self):
         from paritrace.automata import (
