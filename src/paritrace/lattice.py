@@ -14,10 +14,6 @@ import random
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterator
 
-#: Hard cap on powerset ground sets; anything bigger is outside the intended
-#: desk-scale envelope of this package.
-MAX_GROUND = 4096
-
 #: Default cap on the number of *elements* a lattice may have before
 #: exhaustive enumeration (and hence brute-force fixpoint search) refuses.
 MAX_ENUM = 256
@@ -48,7 +44,7 @@ class LatticeError(Exception):
 
 
 class LatticeTooLargeError(LatticeError):
-    """A size cap (ground set or enumeration) was exceeded."""
+    """An enumeration cap (lattice elements or candidate words) was exceeded."""
 
 
 class IterationBudgetError(LatticeError):
@@ -128,10 +124,6 @@ class PowersetLattice(FiniteLattice):
         ground = tuple(ground)
         if len(set(ground)) != len(ground):
             raise ValueError("ground set has duplicate items")
-        if len(ground) > MAX_GROUND:
-            raise LatticeTooLargeError(
-                f"ground set of size {len(ground)} exceeds cap {MAX_GROUND}"
-            )
         self.ground = ground
         self._index = {item: i for i, item in enumerate(ground)}
         self._top = (1 << len(ground)) - 1

@@ -6,7 +6,9 @@ input: the carrier of the equation for priority class i becomes the finite
 map lattice (states of priority i) -> (sets of input positions), where a
 position is a node of the input's pointed generator: a suffix class of a
 lasso, a node of a tree generator, or a letter (or the end marker) of a
-finite word.  One builder, ``_restricted_system``, serves every input kind.
+finite word.  One builder, ``_restricted_system``, serves every input kind;
+its bodies compute the sets of all positions of an equation at once, on
+bitmasks, from symbol masks and predecessor shift maps.
 Equation bodies act position-locally, so the restriction is closed under
 them; its adequacy is enforced empirically by the differential oracle
 suite rather than proven.
@@ -32,7 +34,6 @@ from .automata import (
 )
 from .hes import Equation, HierEqSystem
 from .lattice import (
-    MAX_GROUND,
     MU,
     NU,
     FunctionLattice,
@@ -63,6 +64,7 @@ __all__ = [
     "RestrictedHes",
     "build_restricted_hes",
     "make_phi_body",
+    "predecessor_maps",
     "parity_trace_membership",
     "buchi_trace_membership",
     "decorated_trace_membership",
@@ -168,51 +170,111 @@ def _verdict(rh: RestrictedHes, x: str, block: int) -> MembershipVerdict:
 # Restricted-system construction
 # ---------------------------------------------------------------------------
 
+def predecessor_maps(children: Sequence[Sequence[int]]) -> tuple:
+    """Shift decompositions of the predecessor maps of a pointed generator.
+
+    ``children[p]`` lists the child positions of position ``p``.  Child slot
+    ``i`` has the predecessor map ``pre_i(S) = {p : children[p][i] in S}``,
+    which is ``OR_d shift(S, d) & mask_d`` with
+    ``mask_d = {p : children[p][i] == p + d}``, where ``shift(S, d)`` moves
+    bit ``p + d`` of ``S`` to bit ``p``.  Slot ``i`` is returned as the pair
+    ``(right, left)`` of ``(shift, mask_d)`` tuples: right shifts by ``d``
+    for ``d >= 0`` and left shifts by ``-d`` for ``d < 0``.  A lasso needs
+    two offsets, ``+1`` and the wrap back to the loop start, whatever its
+    length.
+    """
+    n = len(children)
+    maps: list[dict[int, int]] = []
+    for p, kids in enumerate(children):
+        for i, q in enumerate(kids):
+            if not (0 <= q < n):
+                raise ValueError(f"position {p}: child position {q} out of range")
+            if i == len(maps):
+                maps.append({})
+            maps[i][q - p] = maps[i].get(q - p, 0) | (1 << p)
+    return tuple(
+        (
+            tuple((d, mask) for d, mask in m.items() if d >= 0),
+            tuple((-d, mask) for d, mask in m.items() if d < 0),
+        )
+        for m in maps
+    )
+
+
 def make_phi_body(
-    rows: Sequence[Sequence[tuple[int, Sequence[tuple]]]],
+    groups: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int]]],
+    preds: Sequence[tuple[tuple, tuple]],
     *,
-    n_positions: int,
-    n_equations: int,
+    widths: Sequence[int],
 ) -> Callable[[tuple], tuple]:
     """Build one equation body of the compose-map-recompose shape.
 
-    ``rows[d]`` belongs to the d-th domain item of the equation's carrier
-    and lists ``(p, alternatives)`` pairs: the alternatives are the
-    transitions that match the input at position ``p``, each given as its
-    successor slots ``(equation_index, domain_index, position)`` into the
-    joint assignment.  The body puts ``p`` into the set of item ``d`` when
-    some alternative has all its slots satisfied by the current assignment.
+    ``groups[x]`` belongs to the x-th domain item of the equation's carrier
+    and lists ``(slots, mask)`` pairs, one per successor tuple of its
+    transitions: ``slots[i] = (equation_index, domain_index)`` is the
+    variable that must hold at child slot ``i``, and ``mask`` is the set of
+    positions whose symbol has a transition to that tuple.  ``preds`` are
+    the generator's predecessor maps (see ``predecessor_maps``) and
+    ``widths[k]`` is the number of domain items of equation ``k``.  The body
+    computes every position at once:
 
-    The body is monotone by construction (slots are positive).  Positions
-    absent from a row are never in that item's set.
+        out[x] = OR over (slots, mask) of mask & AND_i pre_i(S[slots[i]])
+
+    where ``S`` is the joint assignment.  A group without slots (a nullary
+    position) yields its mask unchanged.  The body is monotone by
+    construction (slots are positive).
     """
-    for row in rows:
-        for p, alternatives in row:
-            if not (0 <= p < n_positions):
-                raise ValueError(f"cell position {p}: out of range")
-            for slots in alternatives:
-                for (k, yi, q) in slots:
-                    if not (0 <= k < n_equations):
-                        raise ValueError(f"slot {(k, yi, q)}: equation index out of range")
-                    if not (0 <= q < n_positions):
-                        raise ValueError(f"slot {(k, yi, q)}: position out of range")
+    keys: dict[tuple[int, int, int], int] = {}
+    rows = []
+    for row in groups:
+        compiled = []
+        for slots, mask in row:
+            idx = []
+            for i, (k, yi) in enumerate(slots):
+                if not (0 <= k < len(widths)):
+                    raise ValueError(f"slot {(k, yi)}: equation index out of range")
+                if not (0 <= yi < widths[k]):
+                    raise ValueError(f"slot {(k, yi)}: state index out of range")
+                if i >= len(preds):
+                    raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
+                idx.append(keys.setdefault((i, k, yi), len(keys)))
+            compiled.append((mask, tuple(idx)))
+        rows.append(tuple(compiled))
+    # (equation, domain index, right shifts, left shifts), one entry per key
+    inputs = tuple((k, yi) + preds[i] for (i, k, yi) in keys)
 
     def body(assign: tuple) -> tuple:
+        pre = []
+        for k, yi, right, left in inputs:
+            s = assign[k][yi]
+            acc = 0
+            if s:
+                for d, m in right:
+                    acc |= (s >> d) & m
+                for d, m in left:
+                    acc |= (s << d) & m
+            pre.append(acc)
         out = []
         for row in rows:
-            mask = 0
-            for p, alternatives in row:
-                for slots in alternatives:
-                    for (k, yi, q) in slots:
-                        if not (assign[k][yi] >> q) & 1:
-                            break
-                    else:
-                        mask |= 1 << p
+            acc = 0
+            for mask, idx in row:
+                for j in idx:
+                    mask &= pre[j]
+                    if not mask:
                         break
-            out.append(mask)
+                acc |= mask
+            out.append(acc)
         return tuple(out)
 
     return body
+
+
+def _masks_by_value(values) -> dict:
+    """``value -> bitmask of the positions p with values[p] == value``."""
+    masks: dict = {}
+    for p, v in enumerate(values):
+        masks[v] = masks.get(v, 0) | (1 << p)
+    return masks
 
 
 def _restricted_system(moves, labels, children, root, partition, signs, prios=None):
@@ -226,28 +288,34 @@ def _restricted_system(moves, labels, children, root, partition, signs, prios=No
     the states of ``partition[k]``.  In decorated mode ``prios`` gives each
     position's priority, and equation k admits position p only when
     ``prios[p] == k + 1``.
+
+    Everything position-wise is a bitmask built here once: the positions of
+    each symbol, the positions of each priority, and the predecessor maps.
     """
     positions = tuple(range(len(labels)))
     pos_lat = PowersetLattice(positions)
+    sym_masks = _masks_by_value(labels)
+    prio_masks = _masks_by_value(prios or ())
+    preds = predecessor_maps(children)
     slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
+    widths = tuple(len(block) for block in partition)
     equations = []
     carriers = []
     for k, block in enumerate(partition):
-        admitted = [p for p in positions if prios is None or prios[p] == k + 1]
-        rows = []
+        admitted = pos_lat.top if prios is None else prio_masks.get(k + 1, 0)
+        groups = []
         for x in block:
-            row = []
-            for p in admitted:
-                targets = moves.get((x, labels[p]))
-                if targets:
-                    kids = children[p]
-                    row.append(
-                        (p, [tuple(slot_of[y] + (q,) for y, q in zip(ys, kids)) for ys in targets])
-                    )
-            rows.append(row)
+            by_targets: dict = {}
+            for sym, sym_mask in sym_masks.items():
+                mask = sym_mask & admitted
+                if not mask:
+                    continue
+                for ys in moves.get((x, sym), ()):
+                    by_targets[ys] = by_targets.get(ys, 0) | mask
+            groups.append([(tuple(slot_of[y] for y in ys), m) for ys, m in by_targets.items()])
         carrier = FunctionLattice(block, pos_lat)
         carriers.append(carrier)
-        body = make_phi_body(rows, n_positions=len(positions), n_equations=len(partition))
+        body = make_phi_body(groups, preds, widths=widths)
         equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
     return RestrictedHes(HierEqSystem(equations), carriers, positions, root)
 
@@ -396,6 +464,9 @@ def tree_language_membership(
     return _verdict(build_restricted_hes(aut, t, "ordinary"), x, aut.priority(x))
 
 
+#: Cap on the candidate words ``finite_trace_enum`` builds.
+MAX_ENUM_WORDS = 4096
+
 #: Symbol of the nullary end position of a finite word.  It is a tuple, so
 #: it never equals a letter.
 _TICK = ("✓",)
@@ -436,7 +507,7 @@ def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozense
     for _ in range(maxlen):
         level = [(a,) + w for a in aut.alphabet for w in level]
         words = words + level
-        if len(words) > MAX_GROUND:
+        if len(words) > MAX_ENUM_WORDS:
             raise LatticeTooLargeError(f"maxlen {maxlen} enumerates too many words")
     words.sort(key=lambda w: (len(w), w))
     widx = {w: i for i, w in enumerate(words)}

@@ -1,0 +1,51 @@
+"""The per-cell restricted body: the reference for ``trace.make_phi_body``.
+
+It evaluates one (state, position) cell at a time: position ``p`` enters
+the set of state ``x`` when some transition of ``x`` on ``p``'s symbol has
+the slot bit of every successor set at the matching child of ``p``.  Its
+arguments are those of ``trace._restricted_system``; it returns one body
+per equation.
+"""
+
+
+def cell_bodies(moves, labels, children, partition, prios=None):
+    slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
+    bodies = []
+    for k, block in enumerate(partition):
+        admitted = [p for p in range(len(labels)) if prios is None or prios[p] == k + 1]
+        rows = []
+        for x in block:
+            row = []
+            for p in admitted:
+                targets = moves.get((x, labels[p]))
+                if targets:
+                    kids = children[p]
+                    row.append(
+                        (p, [tuple(slot_of[y] + (q,) for y, q in zip(ys, kids)) for ys in targets])
+                    )
+            rows.append(row)
+        bodies.append(_cell_body(rows))
+    return bodies
+
+
+def _cell_body(rows):
+    """``rows[d]`` lists ``(p, alternatives)``: each alternative is the slots
+    ``(equation_index, domain_index, position)`` that must all hold for
+    ``p`` to enter the set of domain item ``d``."""
+
+    def body(assign: tuple) -> tuple:
+        out = []
+        for row in rows:
+            mask = 0
+            for p, alternatives in row:
+                for slots in alternatives:
+                    for (k, yi, q) in slots:
+                        if not (assign[k][yi] >> q) & 1:
+                            break
+                    else:
+                        mask |= 1 << p
+                        break
+            out.append(mask)
+        return tuple(out)
+
+    return body

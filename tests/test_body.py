@@ -1,0 +1,117 @@
+"""The bitmask bodies equal the per-cell reference bodies on arbitrary
+assignments, for every input kind the restricted-system builder serves."""
+
+import random
+
+import pytest
+from cellbody import cell_bodies
+
+from paritrace import trace
+from paritrace.automata import (
+    TreeGenParams,
+    WordGenParams,
+    random_buchi_automaton,
+    random_tree_automaton,
+    random_word_automaton,
+)
+from paritrace.lattice import MU, NU
+from paritrace.omega_input import (
+    DecoratedLassoWord,
+    DecoratedRegularTreeRep,
+    random_lasso,
+    random_regular_tree,
+)
+
+KINDS = ("lasso", "decorated-lasso", "buchi", "infinitary", "finite", "tree", "decorated-tree")
+
+
+def _decorate(letters, rng, two_n):
+    return tuple((a, rng.randint(1, two_n)) for a in letters)
+
+
+def generator_args(kind, seed, rng):
+    """The arguments ``trace._restricted_system`` receives for one seeded
+    input of ``kind``: ``(moves, labels, children, root, partition, signs,
+    prios)``."""
+    if kind in ("tree", "decorated-tree"):
+        params = TreeGenParams(
+            n_states=rng.randint(2, 5), n_symbols=3, max_arity=2, two_n=4, density=0.7
+        )
+        aut = random_tree_automaton(params, seed)
+        t = random_regular_tree(aut.alphabet, rng.randint(1, 12), rng)
+        decorated = kind == "decorated-tree"
+        if decorated:
+            t = DecoratedRegularTreeRep(
+                {n: ((t.label(n), rng.randint(1, 4)), t.children(n)) for n in t.node_ids()},
+                t.root,
+            )
+        labels, children, root, prios = trace._tree_generator(aut, t, decorated)
+        partition, signs = trace._parity_blocks(aut, decorated)
+        return trace._moves(aut.transitions), labels, children, root, partition, signs, prios
+    params = WordGenParams(n_states=rng.randint(2, 6), n_letters=2, two_n=4, density=0.35)
+    if kind == "buchi":
+        aut = random_buchi_automaton(params, seed)
+    else:
+        aut = random_word_automaton(params, seed)
+    moves = trace._word_moves(aut)
+    if kind == "finite":
+        word = tuple(rng.choice(aut.alphabet) for _ in range(rng.randint(0, 30)))
+        for y in rng.sample(aut.states, rng.randint(0, len(aut.states))):
+            moves[(y, trace._TICK)] = [()]
+        children = tuple((p + 1,) for p in range(len(word))) + ((),)
+        return moves, word + (trace._TICK,), children, 0, [aut.states], [MU], None
+    w = random_lasso(aut.alphabet, 15, 25, rng)
+    if kind == "decorated-lasso":
+        xi = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
+        labels, children, root, prios = trace._lasso_generator(aut, xi, True)
+        return (moves, labels, children, root, *trace._parity_blocks(aut, True), prios)
+    labels, children, root, _ = trace._lasso_generator(aut, w, False)
+    if kind == "lasso":
+        partition, signs = trace._parity_blocks(aut, False)
+    elif kind == "buchi":
+        partition = [
+            tuple(s for s in aut.states if s not in aut.accepting),
+            tuple(s for s in aut.states if s in aut.accepting),
+        ]
+        signs = [MU, NU]
+    else:
+        partition, signs = [aut.states], [NU]
+    return moves, labels, children, root, partition, signs, None
+
+
+def random_value(n_positions, rng):
+    """A set of positions: empty, full, or random of varying density."""
+    full = (1 << n_positions) - 1
+    shape = rng.randrange(5)
+    if shape == 0:
+        return 0
+    if shape == 1:
+        return full
+    value = rng.getrandbits(n_positions)
+    if shape == 2:
+        return value & rng.getrandbits(n_positions) & rng.getrandbits(n_positions)
+    if shape == 3:
+        return value | rng.getrandbits(n_positions) | rng.getrandbits(n_positions)
+    return value
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bitmask_body_equals_cell_body(kind):
+    rng = random.Random(f"body-{kind}")
+    checked = nonempty = 0
+    for seed in range(60):
+        args = generator_args(kind, seed, rng)
+        moves, labels, children, _root, partition, _signs, prios = args
+        rh = trace._restricted_system(*args)
+        reference = cell_bodies(moves, labels, children, partition, prios)
+        n = len(labels)
+        for _ in range(8):
+            assign = tuple(
+                tuple(random_value(n, rng) for _ in carrier.domain) for carrier in rh.carriers
+            )
+            for eq, ref in zip(rh.hes.equations, reference):
+                got = eq.body(assign)
+                assert got == ref(assign), (kind, seed, eq.var)
+                checked += 1
+                nonempty += any(got)
+    assert checked >= 480 and nonempty >= checked // 10

@@ -21,7 +21,7 @@ from paritrace.lattice import (
     ProductLattice,
     check_monotone_on_samples,
 )
-from paritrace.trace import make_phi_body
+from paritrace.trace import make_phi_body, predecessor_maps
 
 P2 = PowersetLattice((0, 1))
 P1 = PowersetLattice(("p",))
@@ -162,19 +162,31 @@ class TestAgainstBruteForce:
 class TestMakePhiBody:
     def test_identity_parts_give_identity_body(self):
         carrier = FunctionLattice(("x",), PowersetLattice((0, 1, 2)))
-        rows = [[(p, [((0, 0, p),)]) for p in range(3)]]
-        body = make_phi_body(rows, n_positions=3, n_equations=1)
+        # every position is its own only child, and x must hold there
+        preds = predecessor_maps([(0,), (1,), (2,)])
+        body = make_phi_body([[(((0, 0),), 0b111)]], preds, widths=(1,))
         for elem in carrier.elements(max_size=512):
             assert body((elem,)) == elem
 
     def test_dimension_mismatch(self):
-        for rows in (
-            [[(0, [((3, 0, 0),)])]],  # equation index
-            [[(0, [((0, 0, 1),)])]],  # slot position
-            [[(1, [()])]],  # cell position
+        preds = predecessor_maps([(0,)])
+        for groups in (
+            [[(((3, 0),), 1)]],  # equation index
+            [[(((0, 1),), 1)]],  # state index
+            [[(((0, 0), (0, 0)), 1)]],  # child slot no position has
         ):
             with pytest.raises(ValueError):
-                make_phi_body(rows, n_positions=1, n_equations=1)
+                make_phi_body(groups, preds, widths=(1,))
+        with pytest.raises(ValueError):
+            predecessor_maps([(1,)])  # child position
+
+    def test_lasso_predecessors_are_two_shifts(self):
+        # stem 0 1, cycle 2 3 4: every position steps to the next, 4 wraps to 2
+        children = [(1,), (2,), (3,), (4,), (2,)]
+        assert predecessor_maps(children) == ((((1, 0b01111),), ((2, 0b10000),)),)
+        preds = predecessor_maps(children)
+        body = make_phi_body([[(((0, 0),), 0b11111)]], preds, widths=(1,))
+        assert body(((0b00100,),)) == (0b10010,)
 
     def test_restricted_bodies_monotone_on_samples(self):
         from paritrace.automata import (

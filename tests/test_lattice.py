@@ -37,8 +37,12 @@ class TestPowersetBasics:
         assert P2.to_set(mask) == frozenset({1})
 
     def test_ground_cap(self):
+        # position lattices have no ground cap; only enumeration is capped
+        big = PowersetLattice(range(5000))
+        assert big.height() == 5000 and big.top == (1 << 5000) - 1
+        assert big.leq(big.singleton(4999), big.top)
         with pytest.raises(LatticeTooLargeError):
-            PowersetLattice(range(5000))
+            list(big.elements())
 
     def test_enumeration_cap(self):
         big = PowersetLattice(range(12))

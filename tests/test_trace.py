@@ -21,6 +21,7 @@ from paritrace.omega_input import (
     DecoratedLassoWord,
     DecoratedRegularTreeRep,
     DecorationError,
+    LassoWord,
     RegularTreeRep,
     all_lassos,
     normalize,
@@ -30,7 +31,7 @@ from paritrace.omega_input import (
     random_lasso,
     unroll,
 )
-from paritrace.oracle import lasso_acceptance
+from paritrace.oracle import lasso_acceptance, tree_membership_oracle
 from paritrace.trace import (
     BOTTOM,
     AlphabetMismatchError,
@@ -404,7 +405,7 @@ class TestDecoratedImpliesOrdinary:
     def test_sampled_implication(self):
         # decorated acceptance of xi forces plain acceptance of flatten(xi)
         from paritrace.omega_input import flatten_word
-        from paritrace.oracle import lasso_acceptance
+        from paritrace.oracle import lasso_acceptance, tree_membership_oracle
 
         rng = random.Random(5)
         positives = 0
@@ -476,3 +477,92 @@ class TestSolveCounters:
             if (got := _solve_counter_case(case)) != case["expected"]
         ]
         assert not mismatches, mismatches[:5]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestQuadraticLasso:
+    """A mu-equation that moves one position per Kleene step around a
+    1,600-position lasso: thousands of evaluations of a wide body."""
+
+    def test_verdict_and_counters(self):
+        aut = parse((DATA / "quadratic_lasso.aut").read_text(encoding="utf-8"))
+        w = parse_lasso((DATA / "quadratic_lasso.txt").read_text(encoding="utf-8").strip())
+        assert w.n_positions == 1600 and len(aut.states) == 12
+        v = parity_trace_membership(aut, "s1", w)
+        assert v.value is False
+        assert v.stats.body_evals == 4363
+        assert v.stats.iterations == (4173, 93, 0, 0)
+        assert lasso_acceptance(aut, "s1", w).value is False
+
+
+def wide_tree(rng, n_nodes, alphabet):
+    """A tree generator of exactly ``n_nodes`` nodes, all reachable: nodes
+    hang off a random spanning tree, and the child slots left over point
+    back at random nodes."""
+    branching = [s for s in alphabet.symbols if alphabet.arity(s) > 0]
+    labels, kids, open_slots = [], [], []
+
+    def add(symbols):
+        sym = rng.choice(symbols)
+        labels.append(sym)
+        kids.append([None] * alphabet.arity(sym))
+        open_slots.extend((len(labels) - 1, j) for j in range(alphabet.arity(sym)))
+
+    add(branching)
+    while len(labels) < n_nodes:
+        parent, j = open_slots.pop(rng.randrange(len(open_slots)))
+        kids[parent][j] = f"n{len(labels)}"
+        add(branching if not open_slots else alphabet.symbols)
+    for parent, j in open_slots:
+        kids[parent][j] = f"n{rng.randrange(n_nodes)}"
+    nodes = {f"n{i}": (sym, tuple(ks)) for i, (sym, ks) in enumerate(zip(labels, kids))}
+    return RegularTreeRep(nodes, "n0")
+
+
+class TestWideDifferential:
+    """Engine against the independent oracles on inputs of hundreds of
+    positions and tens of states."""
+
+    def test_long_lassos_match_product_graph(self):
+        rng = random.Random(404)
+        verdicts = []
+        for _ in range(10):
+            states = [f"s{i}" for i in range(rng.randint(12, 36))]
+            transitions = [
+                (x, a, y) for x in states for a in "ab" for y in rng.sample(states, 3)
+            ]
+            # priorities 1..3 weighted so that about half the lassos are accepted
+            priorities = dict(zip(states, rng.choices((1, 2, 3), (3, 1, 4), k=len(states))))
+            aut = ParityWordAutomaton(states, ("a", "b"), transitions, priorities)
+            n = rng.randint(150, 800)
+            word = tuple(rng.choice("ab") for _ in range(n))
+            split = rng.randint(0, n // 4)
+            w = LassoWord(word[:split], word[split:])
+            x = rng.choice(states)
+            v = parity_trace_membership(aut, x, w).value
+            assert v == lasso_acceptance(aut, x, w).value, x
+            verdicts.append(v)
+        assert True in verdicts and False in verdicts
+
+    def test_wide_trees_match_parity_game(self):
+        rng = random.Random(405)
+        alphabet = RankedAlphabet([("f", 2), ("g", 1), ("h", 2), ("c", 0)])
+        verdicts = []
+        for _ in range(40):
+            states = [f"s{i}" for i in range(rng.randint(4, 10))]
+            transitions = [
+                (x, sym, tuple(rng.choice(states) for _ in range(alphabet.arity(sym))))
+                for x in states
+                for sym in alphabet.symbols
+                for _ in range(rng.choice((1, 1, 2)))
+            ]
+            priorities = {x: rng.randint(1, 4) for x in states}
+            aut = ParityTreeAutomaton(states, alphabet, transitions, priorities)
+            t = wide_tree(rng, rng.randint(20, 48), alphabet)
+            x = rng.choice(states)
+            v = tree_language_membership(aut, x, t).value
+            assert v == tree_membership_oracle(aut, x, t).value, x
+            verdicts.append(v)
+        assert True in verdicts and False in verdicts
