@@ -479,6 +479,43 @@ class TestSolveCounters:
         assert not mismatches, mismatches[:5]
 
 
+DEEP_SOLVE_COUNTERS = Path(__file__).parent / "data" / "deep_solve_counters.json"
+
+
+def _deep_counter_case(case) -> dict:
+    aut = parse(case["automaton"])
+    x = case["state"]
+    rh = build_restricted_hes(aut, parse_lasso(case["input"]))
+    warm, cold = rh.solve(), rh.solve(warm_start=False)
+    verdict = rh.member(warm.assignment, x, aut.priority(x))
+    assert rh.member(cold.assignment, x, aut.priority(x)) == verdict
+    return {
+        "verdict": verdict,
+        "warm": {"iterations": list(warm.iterations), "body_evals": warm.body_evals},
+        "cold": {"iterations": list(cold.iterations), "body_evals": cold.body_evals},
+    }
+
+
+class TestDeepSolveCounters:
+    """Verdicts and nested-solve counters pinned on 10-state lassos with
+    2n of 8, 10 and 12, with and without warm starts.
+
+    Recorded once and never regenerated: equal counts show that a rewritten
+    solver runs the same schedule of inner solves as the recorded one.
+    """
+
+    def test_recorded_counters_reproduce(self):
+        cases = json.loads(DEEP_SOLVE_COUNTERS.read_text(encoding="utf-8"))["cases"]
+        assert {case["two_n"] for case in cases} == {8, 10, 12}
+        assert {case["expected"]["verdict"] for case in cases} == {True, False}
+        mismatches = [
+            (i, case["expected"], got)
+            for i, case in enumerate(cases)
+            if (got := _deep_counter_case(case)) != case["expected"]
+        ]
+        assert not mismatches, mismatches[:3]
+
+
 DATA = Path(__file__).parent / "data"
 
 
