@@ -43,9 +43,20 @@ USAGE_EXIT = 2
 DISAGREE_EXIT = 1
 
 
+class UnreadableFileError(Exception):
+    """An input file that cannot be opened or is not UTF-8 text."""
+
+
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnreadableFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableFileError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from None
 
 
 def _load_word_automaton(path: str) -> ParityWordAutomaton:
@@ -246,7 +257,11 @@ def _cmd_check_decorated(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     if args.config:
-        cfg = harness_mod.CampaignConfig.from_json(json.loads(_read(args.config)))
+        try:
+            doc = json.loads(_read(args.config))
+        except json.JSONDecodeError as exc:
+            raise harness_mod.ConfigError(f"{args.config}: not valid JSON: {exc}") from None
+        cfg = harness_mod.CampaignConfig.from_json(doc)
         cfg = harness_mod.CampaignConfig(**{**cfg.__dict__, "trials": args.trials or cfg.trials})
     else:
         cfg = harness_mod.CampaignConfig(trials=args.trials or 100)
@@ -339,7 +354,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, InputError, hes_mod.HesFormatError) as exc:
+    except (
+        ParseError,
+        InputError,
+        hes_mod.HesFormatError,
+        harness_mod.ConfigError,
+        UnreadableFileError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (
@@ -347,7 +368,6 @@ def main(argv=None) -> int:
         DecorationError,
         trace_mod.AlphabetMismatchError,
         trace_mod.GradeMismatchError,
-        FileNotFoundError,
         # exceeded limits; MonotonicityError stays uncaught: it is an engine bug
         LatticeTooLargeError,
         IterationBudgetError,

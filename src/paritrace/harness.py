@@ -56,6 +56,7 @@ from .trace import (
 
 __all__ = [
     "CampaignConfig",
+    "ConfigError",
     "PropertyResult",
     "Report",
     "PROPERTIES",
@@ -92,14 +93,48 @@ class CampaignConfig:
     max_counterexamples: int = 3
 
     @classmethod
-    def from_json(cls, doc: dict) -> "CampaignConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(doc) - known
+    def from_json(cls, doc) -> "CampaignConfig":
+        """Build a config from a decoded JSON object; raise ConfigError for
+        anything else, unknown keys, and values of the wrong type or range."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"campaign config must be a JSON object, got {type(doc).__name__}")
+        bad = set(doc) - set(cls.__dataclass_fields__)
         if bad:
-            raise ValueError(f"unknown campaign config keys: {sorted(bad)}")
+            raise ConfigError(f"unknown campaign config keys: {sorted(bad)}")
+        for key, value in doc.items():
+            if key == "mutation":
+                if value not in (None, *MUTATIONS):
+                    raise ConfigError(f"mutation must be null or one of {list(MUTATIONS)}, got {value!r}")
+            elif key == "properties":
+                if not isinstance(value, list) or any(p not in PROPERTIES for p in value):
+                    raise ConfigError(f"properties must be a list of names from {list(PROPERTIES)}, got {value!r}")
+            elif type(value) is not int or value < _CONFIG_MINIMA.get(key, 0):
+                raise ConfigError(
+                    f"{key} must be an integer >= {_CONFIG_MINIMA.get(key, 0)}, got {value!r}"
+                )
         if "properties" in doc:
             doc = dict(doc, properties=tuple(doc["properties"]))
         return cls(**doc)
+
+
+class ConfigError(ValueError):
+    """A campaign config that is not an object of known keys with values of
+    the right type and range."""
+
+
+MUTATIONS = ("flip-signs",)
+
+# the generators draw from 1..bound (priorities from 1..bound // 2 pairs)
+_CONFIG_MINIMA = {
+    "max_states": 1,
+    "max_letters": 1,
+    "max_two_n": 2,
+    "max_cycle": 1,
+    "tree_states": 1,
+    "tree_symbols": 1,
+    "tree_two_n": 2,
+    "tree_nodes": 1,
+}
 
 
 @dataclass

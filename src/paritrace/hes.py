@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Any, Callable, Mapping, Sequence
 
 from .lattice import (
@@ -107,47 +109,49 @@ class _Solver:
 
     ``prefix(i, args)`` returns the tuple of intermediate values of
     variables 1..i given fixed outer values ``args`` for variables i+1..m.
-    Two performance measures keep repeated inner solves tractable:
 
-    * results are memoised per (level, outer arguments);
-    * an inner fixpoint is warm-started from the previous solution at the
+    * Every inner solve runs once, so nothing is memoised.  A run of level i
+      calls level i-1 with ``(u,) + args`` for the values u of a strict
+      Kleene chain, which never repeats a value; by induction from the top
+      level (which runs once), two runs of one level never see the same
+      outer arguments.  The converged ``lower`` of the last iteration is
+      already the inner solution at the fixpoint, so it is returned as is.
+    * An inner fixpoint is warm-started from the previous solution at the
       same level whenever the outer arguments moved in the direction that
       makes the old solution a sound starting point (monotone fixpoints move
-      the same way their parameters do).
+      the same way their parameters do).  Within one run of level i+1 only
+      the first outer argument changes, so the others compare by identity.
     """
 
     def __init__(self, hes: HierEqSystem, budget: int | None, warm_start: bool = True):
-        self.hes = hes
+        self.equations = hes.equations
+        self.lattices = tuple(eq.lattice for eq in hes.equations)
+        self.heights = tuple(lat.height() for lat in self.lattices)
         self.budget = budget if budget is not None else default_iteration_budget()
         self.warm_start = warm_start
-        self.memo: dict[tuple[int, tuple], tuple] = {}
         self.warm: dict[int, tuple[tuple, Any]] = {}
         self.steps = [0] * len(hes)
         self.body_evals = 0
 
     def _args_leq(self, i: int, a: tuple, b: tuple) -> bool:
-        lats = [eq.lattice for eq in self.hes.equations[i:]]
-        return all(lat.leq(x, y) for lat, x, y in zip(lats, a, b))
+        for lat, x, y in zip(self.lattices[i:], a, b):
+            if x is not y and not lat.leq(x, y):
+                return False
+        return True
 
     def prefix(self, i: int, args: tuple) -> tuple:
         if i == 0:
             return ()
-        key = (i, args)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        eq = self.hes.equations[i - 1]
+        eq = self.equations[i - 1]
         lat = eq.lattice
         ascending = eq.sign == MU
-        start = lat.bottom if ascending else lat.top
+        u = lat.bottom if ascending else lat.top
         prev = self.warm.get(i) if self.warm_start else None
         if prev is not None:
             pargs, pval = prev
-            if ascending and self._args_leq(i, pargs, args):
-                start = pval
-            elif not ascending and self._args_leq(i, args, pargs):
-                start = pval
-        u = start
+            if self._args_leq(i, pargs, args) if ascending else self._args_leq(i, args, pargs):
+                u = pval
+        height = self.heights[i - 1]
         run_steps = 0
         while True:
             lower = self.prefix(i - 1, (u,) + args)
@@ -167,17 +171,14 @@ class _Solver:
                 )
             u = new
             run_steps += 1
-            if run_steps > lat.height():
+            if run_steps > height:
                 # impossible for a strict chain in a finite lattice
                 raise IterationBudgetError(
                     f"equation {eq.var!r}: chain longer than lattice height"
                 )
         self.steps[i - 1] += run_steps
         self.warm[i] = (args, u)
-        lower = self.prefix(i - 1, (u,) + args)
-        result = lower + (u,)
-        self.memo[key] = result
-        return result
+        return lower + (u,)
 
 
 def solve(
@@ -240,6 +241,10 @@ class HesFormatError(Exception):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
+#: Deepest parenthesis nesting the text format accepts; it keeps parsing and
+#: evaluation well inside Python's recursion limit.
+MAX_NESTING = 100
+
 _EQ_RE = re.compile(r"^(?P<var>\w+)\s*=(?P<sign>mu|nu)\s*(?P<expr>.+)$")
 
 
@@ -249,7 +254,9 @@ class _ExprParser:
     Grammar:  expr := term (('|' | 'u') term)*
               term := atom (('&' | 'n') atom)*
               atom := variable | '{' items '}' | '(' expr ')'
-    Unicode cup/cap are accepted as aliases of '|' and '&'.
+    Unicode cup/cap are accepted as aliases of '|' and '&'.  A chain of one
+    operator becomes one n-ary node, so only parentheses nest, and at most
+    MAX_NESTING deep.
     """
 
     def __init__(self, text: str, line: int):
@@ -259,6 +266,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -277,25 +285,29 @@ class _ExprParser:
         return node
 
     def expr(self):
-        node = self.term()
+        terms = [self.term()]
         while self.peek() in ("|", "∪"):
             self.take()
-            node = ("union", node, self.term())
-        return node
+            terms.append(self.term())
+        return terms[0] if len(terms) == 1 else ("union", *terms)
 
     def term(self):
-        node = self.atom()
+        atoms = [self.atom()]
         while self.peek() in ("&", "∩"):
             self.take()
-            node = ("inter", node, self.atom())
-        return node
+            atoms.append(self.atom())
+        return atoms[0] if len(atoms) == 1 else ("inter", *atoms)
 
     def atom(self):
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise HesFormatError(f"parentheses nested deeper than {MAX_NESTING}", self.line)
             node = self.expr()
             if self.take() != ")":
                 raise HesFormatError("expected ')'", self.line)
+            self.depth -= 1
             return node
         if tok.startswith("{"):
             items = [s for s in re.split(r"[,\s]+", tok[1:-1]) if s]
@@ -311,9 +323,8 @@ def _eval_expr(node, var_index: Mapping[str, int], lat: PowersetLattice, assign:
         return assign[var_index[node[1]]]
     if kind == "const":
         return lat.from_iterable(node[1])
-    a = _eval_expr(node[1], var_index, lat, assign)
-    b = _eval_expr(node[2], var_index, lat, assign)
-    return a | b if kind == "union" else a & b
+    parts = (_eval_expr(child, var_index, lat, assign) for child in node[1:])
+    return reduce(or_ if kind == "union" else and_, parts)
 
 
 def parse_hes_text(text: str) -> HierEqSystem:
@@ -333,6 +344,9 @@ def parse_hes_text(text: str) -> HierEqSystem:
             if ground is not None:
                 raise HesFormatError("duplicate ground declaration", lineno)
             ground = tuple(line[len("ground:"):].split())
+            dups = sorted({g for g in ground if ground.count(g) > 1})
+            if dups:
+                raise HesFormatError(f"duplicate ground items {dups}", lineno)
             continue
         m = _EQ_RE.match(line)
         if not m:
@@ -357,8 +371,8 @@ def parse_hes_text(text: str) -> HierEqSystem:
                 if item not in ground:
                     raise HesFormatError(f"unknown ground item {item!r}", lineno)
         else:
-            check_refs(node[1], lineno)
-            check_refs(node[2], lineno)
+            for child in node[1:]:
+                check_refs(child, lineno)
 
     equations = []
     for var, sign, node, lineno in raw_eqs:

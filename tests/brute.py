@@ -5,7 +5,7 @@ extremal fixpoint is found by exhaustive enumeration instead of iteration,
 and nothing is memoised or warm-started.
 """
 
-from paritrace.lattice import brute_force_extremal_fixpoint
+from fixpoints import brute_force_extremal_fixpoint
 
 
 def brute_solve(hes, max_size=4096):

@@ -181,7 +181,8 @@ class TestOtherCommands:
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["member", "missing.aut", "--state", "x", "--lasso", ";a"])
-        assert code == 2
+        assert_one_line_usage_error(code, err)
+        assert "missing.aut" in err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -192,6 +193,71 @@ class TestOtherCommands:
 def assert_one_line_usage_error(code, err):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+class TestBadFiles:
+    """Unreadable files and malformed configs exit 2 with one error line."""
+
+    def test_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["member", str(tmp_path), "--state", "x", "--lasso", ";a"])
+        assert_one_line_usage_error(code, err)
+        assert "directory" in err
+
+    def test_binary_file(self, capsys, tmp_path):
+        path = tmp_path / "binary.aut"
+        path.write_bytes(b"word-parity\n\xff\xfe\x00\x81")
+        code, _, err = run(capsys, ["member", str(path), "--state", "x", "--lasso", ";a"])
+        assert_one_line_usage_error(code, err)
+        assert "UTF-8" in err
+
+    def test_binary_tree_file(self, capsys, tmp_path):
+        aut, tree = tmp_path / "t.aut", tmp_path / "t.tree"
+        aut.write_text(TREE_AUT)
+        tree.write_bytes(b"\x80" * 4)
+        code, _, err = run(capsys, ["tree-member", str(aut), str(tree), "--state", "x"])
+        assert_one_line_usage_error(code, err)
+
+    def test_duplicate_ground_items(self, capsys, tmp_path):
+        path = tmp_path / "dup.hes"
+        path.write_text("ground: p p\nu1 =mu u1\n")
+        code, _, err = run(capsys, ["solve-hes", str(path)])
+        assert_one_line_usage_error(code, err)
+        assert "line 1" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{bad",
+            "[1]",
+            '"trials"',
+            '{"trails": 10}',
+            '{"trials": "5"}',
+            '{"trials": true}',
+            '{"trials": -1}',
+            '{"max_states": 2.5}',
+            '{"max_states": 0}',
+            '{"max_two_n": 1}',
+            '{"properties": "trees"}',
+            '{"properties": ["no-such-property"]}',
+            '{"mutation": 3}',
+            '{"mutation": "flip-everything"}',
+        ],
+    )
+    def test_bad_fuzz_config(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, _, err = run(capsys, ["fuzz", "--config", str(path)])
+        assert_one_line_usage_error(code, err)
+
+    def test_unreadable_fuzz_config(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["fuzz", "--config", str(tmp_path)])
+        assert_one_line_usage_error(code, err)
+
+    def test_good_fuzz_config(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"trials": 2, "properties": ["engine-vs-oracle"], "mutation": null}')
+        code, out, _ = run(capsys, ["fuzz", "--config", str(path)])
+        assert code == 0 and "trials=2" in out
 
 
 class TestLimits:

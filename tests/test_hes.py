@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from brute import brute_solve
+from fixpoints import ProductLattice, check_monotone_on_samples, kleene_gfp, kleene_lfp
 from genhes import random_hes
 
 from paritrace.hes import (
+    MAX_NESTING,
     Equation,
     HesFormatError,
     HierEqSystem,
@@ -18,8 +22,6 @@ from paritrace.lattice import (
     FunctionLattice,
     MonotonicityError,
     PowersetLattice,
-    ProductLattice,
-    check_monotone_on_samples,
 )
 from paritrace.trace import make_phi_body, predecessor_maps
 
@@ -56,8 +58,6 @@ class TestSolveBasics:
         assert solve(swapped).assignment == (0, 0)
 
     def test_single_equation_equals_direct_kleene(self):
-        from paritrace.lattice import kleene_gfp, kleene_lfp
-
         body = lambda a: a[0] | 0b01
         assert solve(single(MU, body)).assignment[0] == kleene_lfp(lambda s: s | 1, P2)
         assert solve(single(NU, body)).assignment[0] == kleene_gfp(lambda s: s | 1, P2)
@@ -229,6 +229,42 @@ class TestMakePhiBody:
             assert_monotone(build_restricted_hes(taut, t, "ordinary"), trial)
 
 
+_HES_NOISE = st.one_of(
+    st.sampled_from(
+        ["", "# comment", "ground: p", "u1 =mu", "v =xi {p}", "v =mu undeclared", "u1 =nu {z}",
+         "u2 =mu (u2", "u2 =nu u2 u2", "w9 =mu u2 &"]
+    ),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def hes_texts(draw):
+    """Mostly well-formed systems; now and then a repeated ground item, a
+    repeated variable or one noise line (malformed, undeclared, unknown)."""
+    rare = st.integers(0, 4).map(lambda k: k == 0)
+    ground = draw(st.lists(st.sampled_from("pqr"), max_size=3, unique=True))
+    if ground and draw(rare):
+        ground.append(draw(st.sampled_from(ground)))
+    names = draw(st.lists(st.sampled_from(["u1", "u2", "v", "w9"]), min_size=1, max_size=4, unique=True))
+    if draw(rare):
+        names.append(draw(st.sampled_from(names)))
+    leaves = st.sampled_from(names) | st.lists(st.sampled_from(ground or ["p"]), max_size=3).map(
+        lambda xs: "{" + ", ".join(xs) + "}" if ground else "{}"
+    )
+    exprs = st.recursive(
+        leaves,
+        lambda inner: st.tuples(inner, st.sampled_from([" | ", " & ", "∪", "∩"]), inner).map("".join)
+        | inner.map("({})".format),
+        max_leaves=6,
+    )
+    lines = ["ground: " + " ".join(ground)]
+    lines += [f"{v} ={draw(st.sampled_from(['mu', 'nu']))} {draw(exprs)}" for v in names]
+    if draw(rare):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_HES_NOISE))
+    return "\n".join(lines)
+
+
 class TestTextFormat:
     def test_parse_and_solve(self):
         text = """
@@ -267,6 +303,32 @@ class TestTextFormat:
     def test_order_preserved(self):
         hes = parse_hes_text("ground: p\nu2 =nu u1\nu1 =mu u2\n")
         assert [eq.var for eq in hes.equations] == ["u2", "u1"]
+
+    def test_duplicate_ground_items(self):
+        with pytest.raises(HesFormatError) as err:
+            parse_hes_text("# items\nground: p q p\nu1 =mu u1\n")
+        assert "line 2" in str(err.value) and "'p'" in str(err.value)
+
+    def test_nesting_cap(self):
+        deep = "(" * MAX_NESTING + "{p}" + ")" * MAX_NESTING
+        assert solve(parse_hes_text(f"ground: p\nu1 =mu {deep}\n")).assignment == (1,)
+        with pytest.raises(HesFormatError) as err:
+            parse_hes_text(f"ground: p\nu1 =mu ({deep})\n")
+        assert "line 2" in str(err.value)
+
+    def test_long_operator_chains_do_not_nest(self):
+        chain = " & ".join(["u1"] * 3000) + " | " + " | ".join(["{p}"] * 3000)
+        assert solve(parse_hes_text(f"ground: p q\nu1 =nu {chain}\n")).assignment == (0b11,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hes_texts())
+    def test_parse_yields_solvable_system_or_format_error(self, text):
+        try:
+            system = parse_hes_text(text)
+        except HesFormatError:
+            return
+        sol = solve(system)
+        assert len(system.format_solution(sol).splitlines()) == len(system)
 
 
 class TestWarmStartIsolation:

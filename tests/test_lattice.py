@@ -4,19 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixpoints import (
+    NoExtremalFixpointError,
+    ProductLattice,
+    brute_force_extremal_fixpoint,
+    check_monotone_on_samples,
+    kleene_gfp,
+    kleene_lfp,
+)
+
 from paritrace.lattice import (
     FunctionLattice,
     IterationBudgetError,
     LatticeTooLargeError,
     MonotonicityError,
-    NoExtremalFixpointError,
     PowersetLattice,
-    ProductLattice,
-    brute_force_extremal_fixpoint,
-    check_monotone_on_samples,
     kleene_fixpoint,
-    kleene_gfp,
-    kleene_lfp,
 )
 
 P2 = PowersetLattice((0, 1))
