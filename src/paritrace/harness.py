@@ -124,7 +124,8 @@ class ConfigError(ValueError):
 
 MUTATIONS = ("flip-signs",)
 
-# the generators draw from 1..bound (priorities from 1..bound // 2 pairs)
+# smallest bounds the trial generators can draw from: sizes from 1..bound,
+# 2n from 2, 4, ..., bound
 _CONFIG_MINIMA = {
     "max_states": 1,
     "max_letters": 1,

@@ -15,6 +15,7 @@ symbolic except the small standalone text format at the bottom.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
@@ -344,7 +345,7 @@ def parse_hes_text(text: str) -> HierEqSystem:
             if ground is not None:
                 raise HesFormatError("duplicate ground declaration", lineno)
             ground = tuple(line[len("ground:"):].split())
-            dups = sorted({g for g in ground if ground.count(g) > 1})
+            dups = sorted(g for g, n in Counter(ground).items() if n > 1)
             if dups:
                 raise HesFormatError(f"duplicate ground items {dups}", lineno)
             continue

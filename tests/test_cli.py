@@ -210,13 +210,6 @@ class TestBadFiles:
         assert_one_line_usage_error(code, err)
         assert "UTF-8" in err
 
-    def test_binary_tree_file(self, capsys, tmp_path):
-        aut, tree = tmp_path / "t.aut", tmp_path / "t.tree"
-        aut.write_text(TREE_AUT)
-        tree.write_bytes(b"\x80" * 4)
-        code, _, err = run(capsys, ["tree-member", str(aut), str(tree), "--state", "x"])
-        assert_one_line_usage_error(code, err)
-
     def test_duplicate_ground_items(self, capsys, tmp_path):
         path = tmp_path / "dup.hes"
         path.write_text("ground: p p\nu1 =mu u1\n")
