@@ -416,7 +416,11 @@ def parse(text: str):
     """Parse an automaton from the text format or its JSON mirror."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _from_json(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ParseError(f"not valid JSON: {exc}") from None
+        return _from_json(doc)
 
     header = None
     alphabet: list[str] = []
@@ -582,7 +586,41 @@ def _to_json(aut) -> dict:
     return doc
 
 
+#: Shapes of the JSON fields: a type, ``[shape]`` for a list of it,
+#: ``(shape, ...)`` for a list of that length, ``{str: shape}`` for an object.
+_JSON_SHAPES = {
+    "states": [str],
+    "alphabet": [str],
+    "accepting": [str],
+    "final": [str],
+    "priorities": {str: int},
+    "ranked_alphabet": {str: int},
+    "delta": {str: (str, [str])},
+}
+_WORD_TRANSITIONS = [(str, str, str)]
+_TREE_TRANSITIONS = [(str, str, [str])]
+
+
+def _has_shape(value, shape) -> bool:
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_has_shape(v, shape[0]) for v in value)
+    if isinstance(shape, tuple):
+        return (
+            isinstance(value, list)
+            and len(value) == len(shape)
+            and all(map(_has_shape, value, shape))
+        )
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_has_shape(v, shape[str]) for v in value.values())
+    return isinstance(value, shape) and not isinstance(value, bool)
+
+
 def _from_json(doc: dict):
+    tree = doc.get("kind") == "tree-parity"
+    shapes = {**_JSON_SHAPES, "transitions": _TREE_TRANSITIONS if tree else _WORD_TRANSITIONS}
+    for key, shape in shapes.items():
+        if key in doc and not _has_shape(doc[key], shape):
+            raise ParseError(f"bad JSON automaton: field {key!r} has the wrong shape")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
     kind = doc.get("kind")

@@ -27,6 +27,7 @@ from .automata import (
 )
 from .lattice import IterationBudgetError, LatticeTooLargeError
 from .omega_input import (
+    DecoratedLassoWord,
     DecorationError,
     InputError,
     check_decorated_invariant,
@@ -59,27 +60,32 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _load_word_automaton(path: str) -> ParityWordAutomaton:
+#: Automaton classes the commands accept, with the name errors give them.
+_KIND_NAMES = {
+    ParityWordAutomaton: "word-parity",
+    ParityTreeAutomaton: "tree-parity",
+    DeterministicExceptionAutomaton: "det-exc",
+}
+
+
+def _load_automaton(path: str, cls: type):
+    """Parse the automaton file at ``path`` and require an instance of
+    ``cls``; a Büchi automaton counts as its word-parity encoding."""
     aut = parse(_read(path))
-    if isinstance(aut, BuchiWordAutomaton):
+    if isinstance(aut, BuchiWordAutomaton) and cls is ParityWordAutomaton:
         return buchi_to_parity(aut)
-    if not isinstance(aut, ParityWordAutomaton):
-        raise ParseError(f"{path}: expected a word-parity automaton, got {aut.kind}")
+    if not isinstance(aut, cls):
+        raise ParseError(f"{path}: expected a {_KIND_NAMES[cls]} automaton, got {aut.kind}")
     return aut
 
 
-def _load_tree_automaton(path: str) -> ParityTreeAutomaton:
-    aut = parse(_read(path))
-    if not isinstance(aut, ParityTreeAutomaton):
-        raise ParseError(f"{path}: expected a tree-parity automaton, got {aut.kind}")
-    return aut
-
-
-def _load_det_automaton(path: str) -> DeterministicExceptionAutomaton:
-    aut = parse(_read(path))
-    if not isinstance(aut, DeterministicExceptionAutomaton):
-        raise ParseError(f"{path}: expected a det-exc automaton, got {aut.kind}")
-    return aut
+def _read_decorated(spec: str):
+    """A decorated lasso given inline, else a decorated tree given inline
+    (multi-line text) or as a file path."""
+    try:
+        return parse_decorated_lasso(spec)
+    except ParseError:
+        return parse_tree(spec if "\n" in spec else _read(spec))
 
 
 def _emit(args, text_value: str, json_doc: dict) -> None:
@@ -125,19 +131,12 @@ def _cmd_solve_hes(args) -> int:
     return 0
 
 
-def _cmd_member(args) -> int:
-    aut = _load_word_automaton(args.automaton)
-    w = parse_lasso(args.lasso)
-    engine = None if args.oracle else trace_mod.parity_trace_membership(aut, args.state, w)
-    graph = (
-        oracle_mod.lasso_acceptance(aut, args.state, w)
-        if (args.oracle or args.both)
-        else None
-    )
-    if args.oracle:
-        verdict = graph.value
-    else:
-        verdict = engine.value
+def _engine_vs_oracle(args, run_engine, run_oracle) -> int:
+    """Decide with the engine, the oracle (``--oracle``) or both
+    (``--both``); ``run_engine`` and ``run_oracle`` compute the verdicts."""
+    engine = None if args.oracle else run_engine()
+    graph = run_oracle() if (args.oracle or args.both) else None
+    verdict = graph.value if args.oracle else engine.value
     doc = {"schema_version": 1, "verdict": verdict}
     if engine is not None and engine.stats is not None:
         doc["stats"] = engine.stats.to_json()
@@ -150,8 +149,18 @@ def _cmd_member(args) -> int:
     return 0
 
 
+def _cmd_member(args) -> int:
+    aut = _load_automaton(args.automaton, ParityWordAutomaton)
+    w = parse_lasso(args.lasso)
+    return _engine_vs_oracle(
+        args,
+        lambda: trace_mod.parity_trace_membership(aut, args.state, w),
+        lambda: oracle_mod.lasso_acceptance(aut, args.state, w),
+    )
+
+
 def _cmd_dtr_member(args) -> int:
-    aut = _load_word_automaton(args.automaton)
+    aut = _load_automaton(args.automaton, ParityWordAutomaton)
     xi = parse_decorated_lasso(args.decorated)
     verdict = trace_mod.decorated_trace_membership(aut, args.state, xi)
     _emit(args, _bool_str(verdict.value), verdict.to_json())
@@ -159,27 +168,17 @@ def _cmd_dtr_member(args) -> int:
 
 
 def _cmd_tree_member(args) -> int:
-    aut = _load_tree_automaton(args.automaton)
+    aut = _load_automaton(args.automaton, ParityTreeAutomaton)
     t = parse_tree(_read(args.tree))
-    engine = None if args.oracle else trace_mod.tree_language_membership(aut, args.state, t)
-    graph = (
-        oracle_mod.tree_membership_oracle(aut, args.state, t)
-        if (args.oracle or args.both)
-        else None
+    return _engine_vs_oracle(
+        args,
+        lambda: trace_mod.tree_language_membership(aut, args.state, t),
+        lambda: oracle_mod.tree_membership_oracle(aut, args.state, t),
     )
-    verdict = graph.value if args.oracle else engine.value
-    doc = {"schema_version": 1, "verdict": verdict}
-    if args.both:
-        doc["oracle"] = graph.value
-        if engine.value != graph.value:
-            _emit(args, f"disagree: engine={_bool_str(engine.value)} oracle={_bool_str(graph.value)}", doc)
-            return DISAGREE_EXIT
-    _emit(args, _bool_str(verdict), doc)
-    return 0
 
 
 def _cmd_witness(args) -> int:
-    aut = _load_word_automaton(args.automaton)
+    aut = _load_automaton(args.automaton, ParityWordAutomaton)
     w = parse_lasso(args.lasso)
     report = trace_mod.flattening_theorem_check(aut, args.state, w)
     if not report.agree:
@@ -193,7 +192,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_finite_traces(args) -> int:
-    aut = _load_word_automaton(args.automaton)
+    aut = _load_automaton(args.automaton, ParityWordAutomaton)
     words = sorted(
         trace_mod.finite_trace_enum(aut, args.state, args.max_len),
         key=lambda w: (len(w), w),
@@ -209,7 +208,7 @@ def _cmd_finite_traces(args) -> int:
 
 
 def _cmd_det_run(args) -> int:
-    aut = _load_det_automaton(args.automaton)
+    aut = _load_automaton(args.automaton, DeterministicExceptionAutomaton)
     behavior = trace_mod.det_exception_behavior(aut, args.state)
     if behavior is trace_mod.BOTTOM:
         _emit(args, "bottom", {"schema_version": 1, "behavior": None})
@@ -222,30 +221,18 @@ def _cmd_det_run(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
-    spec = args.input
-    if spec.lstrip().startswith(("tree", "decorated-tree")) or "\n" in spec:
-        xi = parse_tree(spec if "\n" in spec else _read(spec))
+    xi = _read_decorated(args.input)
+    if isinstance(xi, DecoratedLassoWord):
+        out = format_lasso(flatten_word(xi))
+        _emit(args, out, {"schema_version": 1, "flattened": out})
+    else:
         out = serialize_tree(delst(xi))
         _emit(args, out.rstrip("\n"), {"schema_version": 1, "flattened": out})
-        return 0
-    try:
-        xi = parse_decorated_lasso(spec)
-    except ParseError:
-        xi = parse_tree(_read(spec))
-        out = serialize_tree(delst(xi))
-        _emit(args, out.rstrip("\n"), {"schema_version": 1, "flattened": out})
-        return 0
-    out = format_lasso(flatten_word(xi))
-    _emit(args, out, {"schema_version": 1, "flattened": out})
     return 0
 
 
 def _cmd_check_decorated(args) -> int:
-    spec = args.input
-    try:
-        xi = parse_decorated_lasso(spec)
-    except ParseError:
-        xi = parse_tree(spec if "\n" in spec else _read(spec))
+    xi = _read_decorated(args.input)
     problems = check_decorated_invariant(xi, args.grade)
     doc = {"schema_version": 1, "ok": not problems, "problems": problems}
     if problems:

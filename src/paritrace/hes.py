@@ -106,80 +106,93 @@ class Solution:
 
 
 class _Solver:
-    """Implements the mutually recursive intermediate solutions.
+    """The nested intermediate-solution scheme as one flat loop.
 
-    ``prefix(i, args)`` returns the tuple of intermediate values of
-    variables 1..i given fixed outer values ``args`` for variables i+1..m.
+    Level ``k`` iterates equation ``k`` from bottom (mu) or top (nu) while
+    the levels above hold their current iterates, so every body is
+    evaluated on ``vals`` (the current iterate of each level) followed by
+    the fixed outer arguments.  A strict step at level ``k`` restarts levels
+    ``k-1 .. 0``, innermost last, and evaluation resumes at level 0; a
+    stable level adds its steps to the counters and evaluation moves up.
+    This is the schedule of the textbook recursion, in which each iterate
+    of level ``k`` calls level ``k-1`` and then evaluates its own body: a
+    restart is that call and moving up is its return.  So the solution and
+    the counters are the recursion's, but no call stack grows with the
+    number of equations, which is bounded only by the evaluation budget.
 
-    * Every inner solve runs once, so nothing is memoised.  A run of level i
-      calls level i-1 with ``(u,) + args`` for the values u of a strict
-      Kleene chain, which never repeats a value; by induction from the top
-      level (which runs once), two runs of one level never see the same
-      outer arguments.  The converged ``lower`` of the last iteration is
-      already the inner solution at the fixpoint, so it is returned as is.
-    * An inner fixpoint is warm-started from the previous solution at the
-      same level whenever the outer arguments moved in the direction that
-      makes the old solution a sound starting point (monotone fixpoints move
-      the same way their parameters do).  Within one run of level i+1 only
-      the first outer argument changes, so the others compare by identity.
+    A restarted level starts from its last solution when its outer
+    arguments moved the way that keeps that start sound (monotone fixpoints
+    move with their parameters): up for mu, down for nu.  When level ``k``
+    steps, each level ``j`` below it has just finished a run, and its outer
+    arguments differ from that run's only at levels ``j+1 .. k``: level
+    ``k`` moved to its new iterate, and each restarted level from its last
+    solution to its new start.  So ``up`` and ``down`` are carried down the
+    restart with one comparison per level.  Nothing is memoised, since two
+    runs of one level never see the same outer arguments.
     """
 
     def __init__(self, hes: HierEqSystem, budget: int | None, warm_start: bool = True):
         self.equations = hes.equations
         self.lattices = tuple(eq.lattice for eq in hes.equations)
         self.heights = tuple(lat.height() for lat in self.lattices)
+        self.ascending = tuple(eq.sign == MU for eq in hes.equations)
+        self.starts = tuple(
+            lat.bottom if asc else lat.top for lat, asc in zip(self.lattices, self.ascending)
+        )
         self.budget = budget if budget is not None else default_iteration_budget()
         self.warm_start = warm_start
-        self.warm: dict[int, tuple[tuple, Any]] = {}
         self.steps = [0] * len(hes)
         self.body_evals = 0
 
-    def _args_leq(self, i: int, a: tuple, b: tuple) -> bool:
-        for lat, x, y in zip(self.lattices[i:], a, b):
-            if x is not y and not lat.leq(x, y):
-                return False
-        return True
-
-    def prefix(self, i: int, args: tuple) -> tuple:
-        if i == 0:
-            return ()
-        eq = self.equations[i - 1]
-        lat = eq.lattice
-        ascending = eq.sign == MU
-        u = lat.bottom if ascending else lat.top
-        prev = self.warm.get(i) if self.warm_start else None
-        if prev is not None:
-            pargs, pval = prev
-            if self._args_leq(i, pargs, args) if ascending else self._args_leq(i, args, pargs):
-                u = pval
-        height = self.heights[i - 1]
-        run_steps = 0
+    def prefix(self, top: int, args: tuple) -> tuple:
+        """Intermediate values of levels ``0 .. top-1`` given the values
+        ``args`` of the levels above."""
+        vals = list(self.starts[:top])
+        warm = [None] * top  # each level's value at the end of its last run
+        run = [0] * top  # strict steps of each level's current run
+        k = restart = 0
+        up = down = False
         while True:
-            lower = self.prefix(i - 1, (u,) + args)
-            new = eq.body(lower + (u,) + args)
+            for j in range(restart - 1, -1, -1):
+                if j + 1 < restart:
+                    p, v = warm[j + 1], vals[j + 1]
+                    if p is not v:
+                        lat = self.lattices[j + 1]
+                        up = up and lat.leq(p, v)
+                        down = down and lat.leq(v, p)
+                warm_ok = self.warm_start and (up if self.ascending[j] else down)
+                vals[j] = warm[j] if warm_ok else self.starts[j]
+                run[j] = 0
+            eq = self.equations[k]
+            u = vals[k]
+            new = eq.body(tuple(vals) + args)
             self.body_evals += 1
             if self.body_evals > self.budget:
                 raise IterationBudgetError(
                     f"solve exceeded body-evaluation budget {self.budget}"
                 )
             if new == u:
-                break
-            ok = lat.leq(u, new) if ascending else lat.leq(new, u)
-            if not ok:
+                self.steps[k] += run[k]
+                warm[k] = u
+                restart, k = 0, k + 1
+                if k == top:
+                    return tuple(vals)
+                continue
+            lat = self.lattices[k]
+            up, down = lat.leq(u, new), lat.leq(new, u)
+            if not (up if self.ascending[k] else down):
                 raise MonotonicityError(
                     f"equation {eq.var!r}: {eq.sign}-iteration moved against "
                     f"the chain (non-monotone body)"
                 )
-            u = new
-            run_steps += 1
-            if run_steps > height:
+            vals[k] = new
+            run[k] += 1
+            if run[k] > self.heights[k]:
                 # impossible for a strict chain in a finite lattice
                 raise IterationBudgetError(
                     f"equation {eq.var!r}: chain longer than lattice height"
                 )
-        self.steps[i - 1] += run_steps
-        self.warm[i] = (args, u)
-        return lower + (u,)
+            restart, k = k, 0
 
 
 def solve(

@@ -1,9 +1,9 @@
-"""Finite complete lattices and Kleene fixpoint computation.
+"""Finite complete lattices, fixpoint signs, and the iteration budget.
 
-Every nested-fixpoint solve in this package bottoms out here: elements are
-plain hashable Python values (bitmask ints, tuples of them), lattices are
-small objects that know how to order and combine them, and fixpoints are
-computed by exact Kleene iteration (no tolerances -- everything is discrete).
+Elements are plain hashable Python values (bitmask ints, tuples of them),
+and lattices are small objects that know how to order and combine them.
+The one Kleene loop that iterates over them is the nested solver in
+``paritrace.hes`` (no tolerances -- everything is discrete).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 #: Default cap on the number of *elements* a lattice may have before
 #: exhaustive enumeration (and hence brute-force fixpoint search) refuses.
@@ -228,43 +228,3 @@ class FunctionLattice(FiniteLattice):
 MU = "mu"
 NU = "nu"
 
-
-def kleene_fixpoint(
-    f: Callable[[Any], Any],
-    lat: FiniteLattice,
-    sign: str,
-    *,
-    start: Any = None,
-    budget: int | None = None,
-) -> tuple[Any, int]:
-    """Iterate ``f`` to its ``sign``-extremal fixpoint; return (value, steps).
-
-    ``steps`` counts strict updates, which for a monotone body never exceeds
-    the lattice height.  ``start`` allows warm-starting from a point already
-    known to be on the correct side of the target fixpoint (the HES solver
-    uses this); callers must guarantee soundness of such a start.
-
-    The chain direction is checked at every step: a reversal raises
-    MonotonicityError, which is how non-monotone bodies surface at runtime.
-    """
-    if sign not in (MU, NU):
-        raise ValueError(f"sign must be {MU!r} or {NU!r}, got {sign!r}")
-    if budget is None:
-        budget = default_iteration_budget()
-    ascending = sign == MU
-    x = (lat.bottom if ascending else lat.top) if start is None else start
-    steps = 0
-    while True:
-        fx = f(x)
-        if fx == x:
-            return x, steps
-        ok = lat.leq(x, fx) if ascending else lat.leq(fx, x)
-        if not ok:
-            raise MonotonicityError(
-                f"{sign}-iteration stepped against the chain direction "
-                f"(body is not monotone)"
-            )
-        steps += 1
-        if steps > budget:
-            raise IterationBudgetError(f"fixpoint iteration exceeded budget {budget}")
-        x = fx

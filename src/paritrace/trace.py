@@ -39,7 +39,6 @@ from .lattice import (
     FunctionLattice,
     LatticeTooLargeError,
     PowersetLattice,
-    kleene_fixpoint,
 )
 from .omega_input import (
     DecoratedLassoWord,
@@ -472,76 +471,67 @@ MAX_ENUM_WORDS = 4096
 _TICK = ("✓",)
 
 
+def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> RestrictedHes:
+    """The finite-trace equation restricted to a generator whose end
+    positions carry ``✓``: one mu-equation over all states, where every
+    final state has a nullary ``✓`` move."""
+    moves = _word_moves(aut)
+    for y in aut.final:
+        moves[(y, _TICK)] = [()]
+    return _restricted_system(moves, labels, children, 0, [aut.states], [MU])
+
+
 def finite_trace_membership(aut: ParityWordAutomaton, x: str, word) -> bool:
     """Does some run over the finite word end with the termination flag?
 
-    One mu-equation over all states, restricted to the word followed by a
-    nullary end position whose only moves are the termination flags.
+    The generator is the word followed by a nullary end position.
     """
     _require_state(aut, x)
     word = tuple(word)
     missing = set(word) - set(aut.alphabet)
     if missing:
         raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
-    moves = _word_moves(aut)
-    for y in aut.final:
-        moves[(y, _TICK)] = [()]
     children = tuple((p + 1,) for p in range(len(word))) + ((),)
-    rh = _restricted_system(moves, word + (_TICK,), children, 0, [aut.states], [MU])
+    rh = _finite_trace_system(aut, word + (_TICK,), children)
     return rh.member(rh.solve().assignment, x, 1)
 
 
 def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozenset:
     """All termination-flagged words of length <= maxlen accepted from x.
 
-    Computed as the least fixpoint of the word-building one-step map over
-    the lattice of bounded-length word sets (the enumeration counterpart of
-    the finite-trace equation), not by path search; the oracle's
-    breadth-first enumeration is the independent route.
+    One solve of the finite-trace equation on the generator of all words of
+    length <= maxlen, in level order: the empty word first, carrying the end
+    marker, then each word ``a.w`` with the symbol ``a`` and the one child
+    ``w``.  The offset from ``a.w`` to ``w`` depends only on the length and
+    on ``a``, so the predecessor maps need at most |alphabet| * maxlen
+    shifts.  The oracle's breadth-first enumeration is the independent
+    route.
     """
     _require_state(aut, x)
     if maxlen < 0:
         raise ValueError("maxlen must be >= 0")
-    words: list[tuple[str, ...]] = [()]
-    level = words
-    for _ in range(maxlen):
-        level = [(a,) + w for a in aut.alphabet for w in level]
-        words = words + level
-        if len(words) > MAX_ENUM_WORDS:
+    labels: list = [_TICK]
+    children: list[tuple[int, ...]] = [()]
+    level_start, level_len = 0, 1
+    for _ in range(maxlen if aut.alphabet else 0):
+        if len(labels) + len(aut.alphabet) * level_len > MAX_ENUM_WORDS:
             raise LatticeTooLargeError(f"maxlen {maxlen} enumerates too many words")
-    words.sort(key=lambda w: (len(w), w))
-    widx = {w: i for i, w in enumerate(words)}
-    word_lat = PowersetLattice(tuple(words))
-    carrier = FunctionLattice(aut.states, word_lat)
-    sidx = {y: i for i, y in enumerate(aut.states)}
-    # prepend[a][i] = index of a . words[i], when still within the bound
-    prepend = {
-        a: [widx.get((a,) + w) for w in words] for a in aut.alphabet
-    }
-    moves = {y: [] for y in aut.states}
-    for (src, a, y) in aut.transitions:
-        moves[src].append((a, sidx[y]))
-    epsilon_bit = 1 << widx[()]
+        start = len(labels)
+        for a in aut.alphabet:
+            labels.extend([a] * level_len)
+            children.extend((level_start + i,) for i in range(level_len))
+        level_start, level_len = start, len(labels) - start
+    rh = _finite_trace_system(aut, labels, children)
+    mask = rh.carriers[0].get(rh.solve().assignment[0], x)
 
-    def body(elem):
-        out = []
-        for y in aut.states:
-            mask = epsilon_bit if y in aut.final else 0
-            for (a, ti) in moves[y]:
-                src_mask = elem[ti]
-                pre = prepend[a]
-                m = src_mask
-                while m:
-                    low = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    tgt = pre[low]
-                    if tgt is not None:
-                        mask |= 1 << tgt
-            out.append(mask)
-        return tuple(out)
+    def word(p: int) -> tuple[str, ...]:
+        letters = []
+        while children[p]:
+            letters.append(labels[p])
+            (p,) = children[p]
+        return tuple(letters)
 
-    value, _steps = kleene_fixpoint(body, carrier, MU)
-    return frozenset(word_lat.to_set(carrier.get(value, x)))
+    return frozenset(word(p) for p in range(len(labels)) if (mask >> p) & 1)
 
 
 def infinitary_trace_membership(aut: ParityWordAutomaton, x: str, w: LassoWord) -> bool:

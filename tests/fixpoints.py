@@ -1,5 +1,7 @@
-"""Lattice code that only the tests use: a product lattice, Kleene
-least/greatest fixpoints, and enumeration- and sampling-based oracles."""
+"""Lattice code that only the tests use: a product lattice, a plain Kleene
+loop with its least/greatest fixpoints, and enumeration- and sampling-based
+oracles.  The Kleene loop is independent of the nested solver in
+``paritrace.hes``, so the tests can compare the two."""
 
 from __future__ import annotations
 
@@ -13,9 +15,11 @@ from paritrace.lattice import (
     NU,
     FiniteLattice,
     FunctionLattice,
+    IterationBudgetError,
     LatticeError,
+    MonotonicityError,
     PowersetLattice,
-    kleene_fixpoint,
+    default_iteration_budget,
 )
 
 
@@ -63,6 +67,44 @@ class ProductLattice(FiniteLattice):
 
     def __repr__(self) -> str:
         return f"ProductLattice({list(self.components)!r})"
+
+
+def kleene_fixpoint(
+    f: Callable[[Any], Any],
+    lat: FiniteLattice,
+    sign: str,
+    *,
+    budget: int | None = None,
+) -> tuple[Any, int]:
+    """Iterate ``f`` to its ``sign``-extremal fixpoint; return (value, steps).
+
+    ``steps`` counts strict updates, which for a monotone body never exceeds
+    the lattice height.
+
+    The chain direction is checked at every step: a reversal raises
+    MonotonicityError, which is how non-monotone bodies surface at runtime.
+    """
+    if sign not in (MU, NU):
+        raise ValueError(f"sign must be {MU!r} or {NU!r}, got {sign!r}")
+    if budget is None:
+        budget = default_iteration_budget()
+    ascending = sign == MU
+    x = lat.bottom if ascending else lat.top
+    steps = 0
+    while True:
+        fx = f(x)
+        if fx == x:
+            return x, steps
+        ok = lat.leq(x, fx) if ascending else lat.leq(fx, x)
+        if not ok:
+            raise MonotonicityError(
+                f"{sign}-iteration stepped against the chain direction "
+                f"(body is not monotone)"
+            )
+        steps += 1
+        if steps > budget:
+            raise IterationBudgetError(f"fixpoint iteration exceeded budget {budget}")
+        x = fx
 
 
 def kleene_lfp(f: Callable[[Any], Any], lat: FiniteLattice, *, budget: int | None = None) -> Any:

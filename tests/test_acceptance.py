@@ -277,8 +277,20 @@ def test_criterion_7_finite_traces():
         aut = random_word_automaton(params, rng.random())
         x = rng.choice(aut.states)
         assert finite_trace_enum(aut, x, 5) == finite_run_enumeration(aut, x, 5)
+    # the oracle's own cap, max-len 8, on one- and two-letter alphabets
+    for trial in range(40):
+        params = WordGenParams(
+            n_states=rng.randint(1, 6),
+            n_letters=1 + trial % 2,
+            two_n=2,
+            density=rng.uniform(0.1, 0.5),
+            final_prob=0.4,
+        )
+        aut = random_word_automaton(params, rng.random())
+        x = rng.choice(aut.states)
+        assert finite_trace_enum(aut, x, 8) == finite_run_enumeration(aut, x, 8)
     elapsed = time.time() - t0
-    announce(7, "finite trace enumeration", elapsed, None, " on 100 automata")
+    announce(7, "finite trace enumeration", elapsed, None, " on 140 automata")
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,26 @@ class TestBadFiles:
         code, _, err = run(capsys, ["fuzz", "--config", str(path)])
         assert_one_line_usage_error(code, err)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{oops",
+            '{"schema_version": 1, "kind": "word-parity", "states": 5, "alphabet": ["a"],'
+            ' "transitions": [], "priorities": {}}',
+            '{"schema_version": 1, "kind": "tree-parity", "states": ["x"],'
+            ' "ranked_alphabet": {"f": "x"}, "transitions": [], "priorities": {"x": 1}}',
+            '{"schema_version": 1, "kind": "word-parity", "states": ["x"], "alphabet": ["a"],'
+            ' "transitions": [["x", "a"]], "priorities": {"x": 1}}',
+            '{"states": ' + "[" * 5000,
+        ],
+        ids=["not-json", "states-not-list", "arity-not-int", "short-transition", "deep-nesting"],
+    )
+    def test_malformed_json_automaton(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.aut"
+        path.write_text(text)
+        code, _, err = run(capsys, ["member", str(path), "--state", "x", "--lasso", ";a"])
+        assert_one_line_usage_error(code, err)
+
     def test_unreadable_fuzz_config(self, capsys, tmp_path):
         code, _, err = run(capsys, ["fuzz", "--config", str(tmp_path)])
         assert_one_line_usage_error(code, err)
@@ -278,6 +298,49 @@ class TestLimits:
             capsys, ["finite-traces", str(path), "--state", "x", "--max-len", max_len]
         )
         assert_one_line_usage_error(code, err)
+
+    def test_finite_traces_at_cap(self, capsys, tmp_path):
+        # a one-letter alphabet reaches the 4,096-word cap at max-len 4095
+        path = tmp_path / "finite.aut"
+        path.write_text(FLAGGED)
+        code, out, _ = run(
+            capsys, ["finite-traces", str(path), "--state", "x", "--max-len", "4095"]
+        )
+        assert code == 0
+        assert out.splitlines() == ["<epsilon>"] + ["a" * n for n in range(1, 4096)]
+
+    def test_priority_1400_is_not_a_limit(self, capsys, tmp_path):
+        # one equation per priority class: 1,400 nested equations
+        path = tmp_path / "deep.aut"
+        path.write_text("word-parity\nalphabet: a\nstates: x\npriorities: x:1400\ntrans: x a x;\n")
+        argv = ["member", str(path), "--state", "x", "--lasso", ";a"]
+        assert run(capsys, argv) == (0, "true", "")
+        assert run(capsys, argv + ["--oracle"]) == (0, "true", "")
+
+    @staticmethod
+    def hes_chain(tmp_path, n, alternating):
+        """``u0 =mu u1 | {p}``, links ``u_i = u_(i+1)``, ``u_(n-1) =nu u0``."""
+        lines = ["ground: p q", "u0 =mu u1 | {p}"]
+        for i in range(1, n - 1):
+            sign = "nu" if alternating and i % 2 else "mu"
+            lines.append(f"u{i} ={sign} u{i + 1}")
+        lines.append(f"u{n - 1} =nu u0")
+        path = tmp_path / "chain.hes"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_deep_hes_chain_solves(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["solve-hes", self.hes_chain(tmp_path, 1100, False)])
+        assert code == 0 and err == ""
+        assert out.splitlines() == [f"u{i} = {{p q}}" for i in range(1100)]
+
+    def test_deeper_hes_chain_exhausts_budget(self, capsys, tmp_path, monkeypatch):
+        # the default budget of 1,000,000 is exhausted too, in about ten
+        # times the time
+        monkeypatch.setenv("PARITRACE_ITER_BUDGET", "100000")
+        code, _, err = run(capsys, ["solve-hes", self.hes_chain(tmp_path, 1501, True)])
+        assert_one_line_usage_error(code, err)
+        assert "budget 100000" in err
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_bad_budget_value(self, capsys, intro_file, monkeypatch, raw):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,41 @@ class TestIntermediate:
             intermediate(single(MU), 2, 1)
         with pytest.raises(ValueError):
             intermediate(single(MU), 1, 1, ("extra",))
+
+
+class TestDeepSystems:
+    """The solver keeps no call stack per equation, so depth is bounded only
+    by the body-evaluation budget."""
+
+    @staticmethod
+    def deep_system(m):
+        # u0 =mu u_top | {p}; identity links alternate mu (stay empty) and
+        # nu (stay full); u_top =nu u0 & {q} steps once and restarts them all
+        lines = ["ground: p q", f"u0 =mu u{m - 1} | {{p}}"]
+        lines += [f"u{i} ={'mu' if i % 2 else 'nu'} u{i}" for i in range(1, m - 1)]
+        lines.append(f"u{m - 1} =nu u0 & {{q}}")
+        return parse_hes_text("\n".join(lines) + "\n")
+
+    def test_shape_matches_enumeration(self):
+        hes = self.deep_system(5)
+        assert solve(hes).assignment == brute_solve(hes) == (0b11, 0b00, 0b11, 0b00, 0b10)
+
+    def test_deeper_than_the_recursion_limit(self):
+        m = sys.getrecursionlimit() + 100
+        sol = solve(self.deep_system(m))
+        links = tuple(0b00 if i % 2 else 0b11 for i in range(1, m - 1))
+        assert sol.assignment == (0b11,) + links + (0b10,)
+        assert sol.iterations[0] == 2 and sol.iterations[-1] == 1
+        assert sol.body_evals < 3 * m
+
+    def test_intermediate_at_depth(self):
+        m = sys.getrecursionlimit() + 100
+        hes = self.deep_system(m)
+        assert intermediate(hes, m, m) == 0b10
+        assert intermediate(hes, m, 1) == 0b11
+        assert intermediate(hes, m - 1, 1, (0b00,)) == 0b01
+        assert intermediate(hes, m - 1, 2, (0b00,)) == 0b00
+        assert intermediate(hes, m - 1, m - 1, (0b00,)) == 0b11
 
 
 class TestAgainstBruteForce:

@@ -9,6 +9,7 @@ from fixpoints import (
     ProductLattice,
     brute_force_extremal_fixpoint,
     check_monotone_on_samples,
+    kleene_fixpoint,
     kleene_gfp,
     kleene_lfp,
 )
@@ -19,7 +20,6 @@ from paritrace.lattice import (
     LatticeTooLargeError,
     MonotonicityError,
     PowersetLattice,
-    kleene_fixpoint,
 )
 
 P2 = PowersetLattice((0, 1))

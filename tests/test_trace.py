@@ -260,6 +260,10 @@ class TestFiniteTraces:
         aut = ParityWordAutomaton(("x",), ("a",), [("x", "a", "x")], {"x": 1})
         assert finite_trace_enum(aut, "x", 4) == frozenset()
 
+    def test_empty_alphabet_has_only_the_empty_word(self):
+        aut = ParityWordAutomaton(("x",), (), [], {"x": 1}, final=("x",))
+        assert finite_trace_enum(aut, "x", 10**9) == {()}
+
     def test_membership(self):
         aut = self.flagged_loop()
         assert finite_trace_membership(aut, "x", ("a", "a"))
