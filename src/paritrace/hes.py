@@ -9,7 +9,9 @@ solution -- there is a pinned regression test for that).
 
 Bodies are opaque callables from the full assignment (one value per
 equation, in order) to an element of the equation's lattice; nothing here is
-symbolic except the small standalone text format at the bottom.
+symbolic except the small standalone text format at the bottom.  During a
+solve the assignment is the solver's own working list, valid only for the
+duration of the call: a body reads it and must neither keep nor mutate it.
 """
 
 from __future__ import annotations
@@ -46,14 +48,16 @@ __all__ = [
 class Equation:
     """One signed equation ``var =sign body`` over ``lattice``.
 
-    ``body`` receives the full assignment tuple (values for *all* equations,
-    in system order) and must be monotone in every coordinate.
+    ``body`` receives the full assignment (values for *all* equations, in
+    system order) as a sequence that is valid only during the call; it must
+    not keep or mutate that sequence, and it must be monotone in every
+    coordinate.
     """
 
     var: str
     lattice: FiniteLattice
     sign: str
-    body: Callable[[tuple], Any]
+    body: Callable[[Sequence], Any]
 
     def __post_init__(self):
         if self.sign not in (MU, NU):
@@ -110,15 +114,17 @@ class _Solver:
 
     Level ``k`` iterates equation ``k`` from bottom (mu) or top (nu) while
     the levels above hold their current iterates, so every body is
-    evaluated on ``vals`` (the current iterate of each level) followed by
-    the fixed outer arguments.  A strict step at level ``k`` restarts levels
-    ``k-1 .. 0``, innermost last, and evaluation resumes at level 0; a
-    stable level adds its steps to the counters and evaluation moves up.
-    This is the schedule of the textbook recursion, in which each iterate
-    of level ``k`` calls level ``k-1`` and then evaluates its own body: a
-    restart is that call and moving up is its return.  So the solution and
-    the counters are the recursion's, but no call stack grows with the
-    number of equations, which is bounded only by the evaluation budget.
+    evaluated on ``vals``: the current iterate of each level followed by
+    the fixed outer arguments, one list updated in place and handed to the
+    bodies as it is, so an evaluation copies nothing.  A strict step at
+    level ``k`` restarts levels ``k-1 .. 0``, innermost last, and
+    evaluation resumes at level 0; a stable level adds its steps to the
+    counters and evaluation moves up.  This is the schedule of the textbook
+    recursion, in which each iterate of level ``k`` calls level ``k-1`` and
+    then evaluates its own body: a restart is that call and moving up is its
+    return.  So the solution and the counters are the recursion's, but no
+    call stack grows with the number of equations, which is bounded only by
+    the evaluation budget.
 
     A restarted level starts from its last solution when its outer
     arguments moved the way that keeps that start sound (monotone fixpoints
@@ -147,7 +153,7 @@ class _Solver:
     def prefix(self, top: int, args: tuple) -> tuple:
         """Intermediate values of levels ``0 .. top-1`` given the values
         ``args`` of the levels above."""
-        vals = list(self.starts[:top])
+        vals = list(self.starts[:top]) + list(args)
         warm = [None] * top  # each level's value at the end of its last run
         run = [0] * top  # strict steps of each level's current run
         k = restart = 0
@@ -165,7 +171,7 @@ class _Solver:
                 run[j] = 0
             eq = self.equations[k]
             u = vals[k]
-            new = eq.body(tuple(vals) + args)
+            new = eq.body(vals)
             self.body_evals += 1
             if self.body_evals > self.budget:
                 raise IterationBudgetError(
@@ -176,7 +182,7 @@ class _Solver:
                 warm[k] = u
                 restart, k = 0, k + 1
                 if k == top:
-                    return tuple(vals)
+                    return tuple(vals[:top])
                 continue
             lat = self.lattices[k]
             up, down = lat.leq(u, new), lat.leq(new, u)

@@ -16,7 +16,10 @@ suite rather than proven.
 Ordinary semantics alternates signs (mu on odd priority classes, nu on
 even ones); the decorated semantics is the all-nu system whose bodies also
 pin the input's priorities against the automaton's, and whose positive
-answers mean "some run realises exactly this decoration".
+answers mean "some run realises exactly this decoration".  The membership
+functions solve both at the automaton's alternation depth: empty classes
+are dropped and adjacent classes of one sign share an equation
+(``_compact_blocks``); ``build_restricted_hes`` keeps the literal system.
 """
 
 from __future__ import annotations
@@ -134,11 +137,14 @@ class MembershipVerdict:
 class RestrictedHes:
     """An equation system restricted to one (automaton, input) pair.
 
-    Equation i-1 (0-based) belongs to priority class i (or, for the Büchi
-    and run-existence systems, to block i of their partition) and lives in
-    the lattice (states of that class) -> P(positions).  Empty priority
-    classes keep their equation over a one-point lattice so the indexing of
-    the defining system stays intact.
+    Equation i-1 (0-based) belongs to block i of the system's partition and
+    lives in the lattice (states of that block) -> P(positions).  In the
+    paper's literal system (``build_restricted_hes``) block i is priority
+    class i, and an empty class keeps its equation over a one-point lattice
+    so the indexing of the defining system stays intact.  The membership
+    functions solve the compacted system instead, one block per maximal run
+    of used priorities of equal parity (one block in decorated mode); the
+    Büchi and run-existence systems have partitions of their own.
     """
 
     def __init__(self, hes, carriers, positions, start):
@@ -149,7 +155,9 @@ class RestrictedHes:
 
     def member(self, assignment: tuple, state: str, priority: int, pos=None) -> bool:
         """Does the suffix at ``pos`` (default: the input itself) belong to
-        the solved variable of ``state``?"""
+        the solved variable of ``state``?  ``priority`` is the 1-based index
+        of ``state``'s equation, which in the literal system is its
+        priority."""
         pos = self.start if pos is None else pos
         mask = self.carriers[priority - 1].get(assignment[priority - 1], state)
         return bool((mask >> pos) & 1)
@@ -276,7 +284,9 @@ def _masks_by_value(values) -> dict:
     return masks
 
 
-def _restricted_system(moves, labels, children, root, partition, signs, prios=None):
+def _restricted_system(
+    moves, labels, children, root, partition, signs, prios=None, priority=None
+):
     """Restrict the equation system given by ``partition`` and ``signs`` to
     the pointed generator ``(labels, children, root)``.
 
@@ -285,8 +295,8 @@ def _restricted_system(moves, labels, children, root, partition, signs, prios=No
     ``(state, symbol)`` to the successor-state tuples of its transitions,
     whose i-th state must hold at ``children[p][i]``.  Equation k ranges over
     the states of ``partition[k]``.  In decorated mode ``prios`` gives each
-    position's priority, and equation k admits position p only when
-    ``prios[p] == k + 1``.
+    position's priority and ``priority`` each state's, and state x admits
+    position p only when ``prios[p] == priority[x]``, whatever the partition.
 
     Everything position-wise is a bitmask built here once: the positions of
     each symbol, the positions of each priority, and the predecessor maps.
@@ -301,9 +311,9 @@ def _restricted_system(moves, labels, children, root, partition, signs, prios=No
     equations = []
     carriers = []
     for k, block in enumerate(partition):
-        admitted = pos_lat.top if prios is None else prio_masks.get(k + 1, 0)
         groups = []
         for x in block:
+            admitted = pos_lat.top if prios is None else prio_masks.get(priority[x], 0)
             by_targets: dict = {}
             for sym, sym_mask in sym_masks.items():
                 mask = sym_mask & admitted
@@ -337,6 +347,31 @@ def _parity_blocks(aut, decorated: bool):
     if decorated:
         return partition, [NU] * aut.two_n
     return partition, [MU if i % 2 == 1 else NU for i in range(1, aut.two_n + 1)]
+
+
+def _compact_blocks(aut, decorated: bool):
+    """The system the membership functions solve: the defining system
+    without its empty priority classes, with each maximal run of used
+    priorities of equal parity merged into one equation.
+
+    Equations come in ascending order of priority, mu on odd runs and nu on
+    even ones; the decorated system is all-nu, so it is one nu-equation over
+    all states.  An empty class is an equation over a one-point lattice,
+    and by Bekić's lemma adjacent equations of one sign have the same
+    solution as the single equation over their product, so no verdict
+    changes.  Returns the partition, its signs, and each state's 1-based
+    equation index.
+    """
+    partition: list[tuple] = []
+    signs: list[str] = []
+    for i in sorted(set(aut.priorities.values())):
+        sign = NU if decorated or i % 2 == 0 else MU
+        if not signs or signs[-1] != sign:
+            partition.append(())
+            signs.append(sign)
+        partition[-1] += aut.priority_class(i)
+    block_of = {x: k + 1 for k, block in enumerate(partition) for x in block}
+    return partition, signs, block_of
 
 
 def _split_labels(labels, decorated: bool):
@@ -374,15 +409,9 @@ def _tree_generator(aut, t, decorated: bool):
     return labels, children, index[t.root], prios
 
 
-def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHes:
-    """Restrict the defining equation system of ``aut`` to one input.
-
-    ``mode`` is ``"ordinary"`` (alternating signs, plain input) or
-    ``"decorated"`` (all-nu, decorated input).
-    """
-    if mode not in ("ordinary", "decorated"):
-        raise ValueError(f"mode must be 'ordinary' or 'decorated', got {mode!r}")
-    decorated = mode == "decorated"
+def _restrict(aut, input_obj, decorated: bool, partition, signs) -> RestrictedHes:
+    """Restrict the system given by ``partition`` and ``signs`` to the
+    pointed generator of a lasso or tree input."""
     if isinstance(aut, ParityWordAutomaton):
         if decorated and not isinstance(input_obj, DecoratedLassoWord):
             raise TypeError("decorated mode needs a DecoratedLassoWord")
@@ -399,8 +428,30 @@ def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHe
         labels, children, root, prios = _tree_generator(aut, input_obj, decorated)
     else:
         raise TypeError(f"cannot restrict {type(aut).__name__}")
-    partition, signs = _parity_blocks(aut, decorated)
-    return _restricted_system(moves, labels, children, root, partition, signs, prios)
+    return _restricted_system(
+        moves, labels, children, root, partition, signs, prios, aut.priorities
+    )
+
+
+def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHes:
+    """Restrict the defining equation system of ``aut`` to one input: the
+    paper's literal system, one equation per priority class 1..2n.
+
+    ``mode`` is ``"ordinary"`` (alternating signs, plain input) or
+    ``"decorated"`` (all-nu, decorated input).  The membership functions
+    solve the compacted system of ``_compact_blocks`` instead.
+    """
+    if mode not in ("ordinary", "decorated"):
+        raise ValueError(f"mode must be 'ordinary' or 'decorated', got {mode!r}")
+    decorated = mode == "decorated"
+    return _restrict(aut, input_obj, decorated, *_parity_blocks(aut, decorated))
+
+
+def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdict:
+    """Solve the compacted system of ``aut`` restricted to ``input_obj`` and
+    look the verdict up at ``x``'s equation."""
+    partition, signs, block_of = _compact_blocks(aut, decorated)
+    return _verdict(_restrict(aut, input_obj, decorated, partition, signs), x, block_of[x])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +468,7 @@ def parity_trace_membership(
 ) -> MembershipVerdict:
     """Is the lasso's infinite word in the parity trace semantics at x?"""
     _require_state(aut, x)
-    return _verdict(build_restricted_hes(aut, w, "ordinary"), x, aut.priority(x))
+    return _compact_verdict(aut, x, w, False)
 
 
 def buchi_trace_membership(
@@ -452,7 +503,7 @@ def decorated_trace_membership(aut, x: str, xi) -> MembershipVerdict:
         raise GradeMismatchError(
             f"state {x!r} has priority {aut.priority(x)}, input has grade {xi.grade}"
         )
-    return _verdict(build_restricted_hes(aut, xi, "decorated"), x, aut.priority(x))
+    return _compact_verdict(aut, x, xi, True)
 
 
 def tree_language_membership(
@@ -460,7 +511,7 @@ def tree_language_membership(
 ) -> MembershipVerdict:
     """Is the unfolding of the tree representation in the language at x?"""
     _require_state(aut, x)
-    return _verdict(build_restricted_hes(aut, t, "ordinary"), x, aut.priority(x))
+    return _compact_verdict(aut, x, t, False)
 
 
 #: Cap on the candidate words ``finite_trace_enum`` builds.

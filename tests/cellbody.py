@@ -2,21 +2,22 @@
 
 It evaluates one (state, position) cell at a time: position ``p`` enters
 the set of state ``x`` when some transition of ``x`` on ``p``'s symbol has
-the slot bit of every successor set at the matching child of ``p``.  Its
-arguments are those of ``trace._restricted_system``; it returns one body
-per equation.
+the slot bit of every successor set at the matching child of ``p``, and,
+in decorated mode, ``p``'s priority equals ``x``'s.  Its arguments are
+those of ``trace._restricted_system``; it returns one body per equation.
 """
 
 
-def cell_bodies(moves, labels, children, partition, prios=None):
+def cell_bodies(moves, labels, children, partition, prios=None, priority=None):
     slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
     bodies = []
-    for k, block in enumerate(partition):
-        admitted = [p for p in range(len(labels)) if prios is None or prios[p] == k + 1]
+    for block in partition:
         rows = []
         for x in block:
             row = []
-            for p in admitted:
+            for p in range(len(labels)):
+                if prios is not None and prios[p] != priority[x]:
+                    continue
                 targets = moves.get((x, labels[p]))
                 if targets:
                     kids = children[p]

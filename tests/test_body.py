@@ -23,16 +23,21 @@ from paritrace.omega_input import (
 )
 
 KINDS = ("lasso", "decorated-lasso", "buchi", "infinitary", "finite", "tree", "decorated-tree")
+#: The kinds whose partition is the automaton's priority classes, which the
+#: membership functions compact.
+PARITY_KINDS = ("lasso", "decorated-lasso", "tree", "decorated-tree")
 
 
 def _decorate(letters, rng, two_n):
     return tuple((a, rng.randint(1, two_n)) for a in letters)
 
 
-def generator_args(kind, seed, rng):
+def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
     """The arguments ``trace._restricted_system`` receives for one seeded
     input of ``kind``: ``(moves, labels, children, root, partition, signs,
-    prios)``."""
+    prios, priority)``.  ``blocks(aut, decorated)`` gives the partition and
+    signs of the parity kinds: the literal ``_parity_blocks`` or the
+    compacted ``_compact_blocks``."""
     if kind in ("tree", "decorated-tree"):
         params = TreeGenParams(
             n_states=rng.randint(2, 5), n_symbols=3, max_arity=2, two_n=4, density=0.7
@@ -46,8 +51,9 @@ def generator_args(kind, seed, rng):
                 t.root,
             )
         labels, children, root, prios = trace._tree_generator(aut, t, decorated)
-        partition, signs = trace._parity_blocks(aut, decorated)
-        return trace._moves(aut.transitions), labels, children, root, partition, signs, prios
+        partition, signs = blocks(aut, decorated)[:2]
+        moves = trace._moves(aut.transitions)
+        return moves, labels, children, root, partition, signs, prios, aut.priorities
     params = WordGenParams(n_states=rng.randint(2, 6), n_letters=2, two_n=4, density=0.35)
     if kind == "buchi":
         aut = random_buchi_automaton(params, seed)
@@ -59,15 +65,16 @@ def generator_args(kind, seed, rng):
         for y in rng.sample(aut.states, rng.randint(0, len(aut.states))):
             moves[(y, trace._TICK)] = [()]
         children = tuple((p + 1,) for p in range(len(word))) + ((),)
-        return moves, word + (trace._TICK,), children, 0, [aut.states], [MU], None
+        return moves, word + (trace._TICK,), children, 0, [aut.states], [MU], None, None
     w = random_lasso(aut.alphabet, 15, 25, rng)
     if kind == "decorated-lasso":
         xi = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
         labels, children, root, prios = trace._lasso_generator(aut, xi, True)
-        return (moves, labels, children, root, *trace._parity_blocks(aut, True), prios)
+        partition, signs = blocks(aut, True)[:2]
+        return moves, labels, children, root, partition, signs, prios, aut.priorities
     labels, children, root, _ = trace._lasso_generator(aut, w, False)
     if kind == "lasso":
-        partition, signs = trace._parity_blocks(aut, False)
+        partition, signs = blocks(aut, False)[:2]
     elif kind == "buchi":
         partition = [
             tuple(s for s in aut.states if s not in aut.accepting),
@@ -76,7 +83,7 @@ def generator_args(kind, seed, rng):
         signs = [MU, NU]
     else:
         partition, signs = [aut.states], [NU]
-    return moves, labels, children, root, partition, signs, None
+    return moves, labels, children, root, partition, signs, None, None
 
 
 def random_value(n_positions, rng):
@@ -95,15 +102,13 @@ def random_value(n_positions, rng):
     return value
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_bitmask_body_equals_cell_body(kind):
-    rng = random.Random(f"body-{kind}")
+def check_against_cells(kind, rng, blocks=trace._parity_blocks):
     checked = nonempty = 0
     for seed in range(60):
-        args = generator_args(kind, seed, rng)
-        moves, labels, children, _root, partition, _signs, prios = args
+        args = generator_args(kind, seed, rng, blocks)
+        moves, labels, children, _root, partition, _signs, prios, priority = args
         rh = trace._restricted_system(*args)
-        reference = cell_bodies(moves, labels, children, partition, prios)
+        reference = cell_bodies(moves, labels, children, partition, prios, priority)
         n = len(labels)
         for _ in range(8):
             assign = tuple(
@@ -115,3 +120,13 @@ def test_bitmask_body_equals_cell_body(kind):
                 checked += 1
                 nonempty += any(got)
     assert checked >= 480 and nonempty >= checked // 10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bitmask_body_equals_cell_body(kind):
+    check_against_cells(kind, random.Random(f"body-{kind}"))
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+def test_compacted_body_equals_cell_body(kind):
+    check_against_cells(kind, random.Random(f"compact-body-{kind}"), trace._compact_blocks)

@@ -310,12 +310,17 @@ class TestLimits:
         assert out.splitlines() == ["<epsilon>"] + ["a" * n for n in range(1, 4096)]
 
     def test_priority_1400_is_not_a_limit(self, capsys, tmp_path):
-        # one equation per priority class: 1,400 nested equations
+        # the literal system has 1,400 nested equations; membership solves
+        # the compacted one, a single nu-equation
         path = tmp_path / "deep.aut"
         path.write_text("word-parity\nalphabet: a\nstates: x\npriorities: x:1400\ntrans: x a x;\n")
         argv = ["member", str(path), "--state", "x", "--lasso", ";a"]
         assert run(capsys, argv) == (0, "true", "")
         assert run(capsys, argv + ["--oracle"]) == (0, "true", "")
+        code, out, _ = run(capsys, argv + ["--json"])
+        doc = json.loads(out)
+        assert code == 0 and doc["verdict"] is True
+        assert len(doc["stats"]["iterations"]) == 1
 
     @staticmethod
     def hes_chain(tmp_path, n, alternating):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from paritrace import trace
 from paritrace.automata import (
     BuchiWordAutomaton,
     DeterministicExceptionAutomaton,
@@ -24,6 +25,7 @@ from paritrace.omega_input import (
     LassoWord,
     RegularTreeRep,
     all_lassos,
+    decorate_run,
     normalize,
     parse_decorated_lasso,
     parse_lasso,
@@ -434,7 +436,19 @@ class TestDecoratedImpliesOrdinary:
 SOLVE_COUNTERS = Path(__file__).parent / "data" / "solve_counters.json"
 
 
+#: Case kinds recorded on the literal system: the input reader and mode of
+#: ``build_restricted_hes``.
+LITERAL_KINDS = {
+    "lasso": (parse_lasso, "ordinary"),
+    "decorated-lasso": (parse_decorated_lasso, "decorated"),
+    "tree": (parse_tree, "ordinary"),
+    "decorated-tree": (parse_tree, "decorated"),
+}
+
+
 def _solve_counter_case(case) -> dict:
+    """The recorded route: the literal system for lassos and trees, the
+    membership function for every other kind."""
     aut = parse(case["automaton"])
     x, text, kind = case["state"], case["input"], case["kind"]
     if kind == "infinitary":
@@ -442,23 +456,38 @@ def _solve_counter_case(case) -> dict:
     if kind == "finite":
         word = tuple(text.split(",")) if text else ()
         return {"verdict": finite_trace_membership(aut, x, word)}
-    if kind == "lasso":
-        v = parity_trace_membership(aut, x, parse_lasso(text))
-    elif kind == "buchi":
-        v = buchi_trace_membership(aut, x, parse_lasso(text))
-    elif kind == "decorated-lasso":
-        v = decorated_trace_membership(aut, x, parse_decorated_lasso(text))
-    elif kind == "tree":
-        v = tree_language_membership(aut, x, parse_tree(text))
-    elif kind == "decorated-tree":
-        v = decorated_trace_membership(aut, x, parse_tree(text))
-    else:
-        raise AssertionError(f"unknown case kind {kind!r}")
+    if kind in LITERAL_KINDS:
+        read, mode = LITERAL_KINDS[kind]
+        rh = build_restricted_hes(aut, read(text), mode)
+        sol = rh.solve()
+        return {
+            "verdict": rh.member(sol.assignment, x, aut.priority(x)),
+            "iterations": list(sol.iterations),
+            "body_evals": sol.body_evals,
+        }
+    v = _membership_case(case)
     return {
         "verdict": v.value,
         "iterations": list(v.stats.iterations),
         "body_evals": v.stats.body_evals,
     }
+
+
+def _membership_case(case):
+    """The membership function's verdict on a case that records counters."""
+    aut = parse(case["automaton"])
+    x, text, kind = case["state"], case["input"], case["kind"]
+    if kind == "lasso":
+        return parity_trace_membership(aut, x, parse_lasso(text))
+    if kind == "buchi":
+        return buchi_trace_membership(aut, x, parse_lasso(text))
+    if kind == "decorated-lasso":
+        return decorated_trace_membership(aut, x, parse_decorated_lasso(text))
+    if kind == "tree":
+        return tree_language_membership(aut, x, parse_tree(text))
+    if kind == "decorated-tree":
+        return decorated_trace_membership(aut, x, parse_tree(text))
+    raise AssertionError(f"unknown case kind {kind!r}")
 
 
 class TestSolveCounters:
@@ -467,6 +496,9 @@ class TestSolveCounters:
     The expected values were recorded once and are never regenerated: equal
     iteration and body-evaluation counts show that a rebuilt restricted
     system has extensionally the same bodies as the one that was recorded.
+    They were recorded on the literal system, which is asserted exactly;
+    the compacted system the membership functions solve must give every
+    recorded verdict with no more body evaluations.
     """
 
     def test_recorded_counters_reproduce(self):
@@ -481,6 +513,20 @@ class TestSolveCounters:
             if (got := _solve_counter_case(case)) != case["expected"]
         ]
         assert not mismatches, mismatches[:5]
+
+    def test_membership_route_within_recorded(self):
+        cases = json.loads(SOLVE_COUNTERS.read_text(encoding="utf-8"))["cases"]
+        cases = [case for case in cases if "body_evals" in case["expected"]]
+        assert len(cases) == 376
+        recorded = solved = 0
+        for i, case in enumerate(cases):
+            v = _membership_case(case)
+            expected = case["expected"]
+            assert v.value == expected["verdict"], (i, case["kind"])
+            assert v.stats.body_evals <= expected["body_evals"], (i, case["kind"])
+            recorded += expected["body_evals"]
+            solved += v.stats.body_evals
+        assert solved < recorded
 
 
 DEEP_SOLVE_COUNTERS = Path(__file__).parent / "data" / "deep_solve_counters.json"
@@ -504,8 +550,10 @@ class TestDeepSolveCounters:
     """Verdicts and nested-solve counters pinned on 10-state lassos with
     2n of 8, 10 and 12, with and without warm starts.
 
-    Recorded once and never regenerated: equal counts show that a rewritten
-    solver runs the same schedule of inner solves as the recorded one.
+    Recorded once on the literal system and never regenerated: equal counts
+    show that a rewritten solver runs the same schedule of inner solves as
+    the recorded one.  The compacted membership route must give every
+    recorded verdict with no more body evaluations than the warm solve.
     """
 
     def test_recorded_counters_reproduce(self):
@@ -519,6 +567,19 @@ class TestDeepSolveCounters:
         ]
         assert not mismatches, mismatches[:3]
 
+    def test_membership_route_within_recorded(self):
+        cases = json.loads(DEEP_SOLVE_COUNTERS.read_text(encoding="utf-8"))["cases"]
+        recorded = solved = 0
+        for i, case in enumerate(cases):
+            aut = parse(case["automaton"])
+            v = parity_trace_membership(aut, case["state"], parse_lasso(case["input"]))
+            expected = case["expected"]
+            assert v.value == expected["verdict"], i
+            assert v.stats.body_evals <= expected["warm"]["body_evals"], i
+            recorded += expected["warm"]["body_evals"]
+            solved += v.stats.body_evals
+        assert solved < recorded
+
 
 DATA = Path(__file__).parent / "data"
 
@@ -531,10 +592,16 @@ class TestQuadraticLasso:
         aut = parse((DATA / "quadratic_lasso.aut").read_text(encoding="utf-8"))
         w = parse_lasso((DATA / "quadratic_lasso.txt").read_text(encoding="utf-8").strip())
         assert w.n_positions == 1600 and len(aut.states) == 12
+        rh = build_restricted_hes(aut, w)
+        sol = rh.solve()
+        assert rh.member(sol.assignment, "s1", aut.priority("s1")) is False
+        assert sol.body_evals == 4363
+        assert sol.iterations == (4173, 93, 0, 0)
+        # the compacted system drops the empty class 4: one evaluation fewer
         v = parity_trace_membership(aut, "s1", w)
         assert v.value is False
-        assert v.stats.body_evals == 4363
-        assert v.stats.iterations == (4173, 93, 0, 0)
+        assert v.stats.body_evals == 4362
+        assert v.stats.iterations == (4173, 93, 0)
         assert lasso_acceptance(aut, "s1", w).value is False
 
 
@@ -606,4 +673,111 @@ class TestWideDifferential:
             v = tree_language_membership(aut, x, t).value
             assert v == tree_membership_oracle(aut, x, t).value, x
             verdicts.append(v)
+        assert True in verdicts and False in verdicts
+
+
+def with_priorities(prios):
+    """A one-letter word automaton whose states ``s<q>`` have the listed
+    priorities."""
+    states = [f"s{q}" for q in prios]
+    transitions = [(x, "a", y) for x in states for y in states]
+    return ParityWordAutomaton(states, ("a",), transitions, dict(zip(states, prios)))
+
+
+def sparse_priorities(rng, states):
+    """Priorities from a random set of one to four values in 1..12."""
+    used = rng.sample(range(1, 13), rng.randint(1, 4))
+    return {x: rng.choice(used) for x in states}
+
+
+class TestCompaction:
+    """Membership solves one equation per maximal run of used priorities
+    of equal parity; the literal system stays one equation per class."""
+
+    def test_runs_of_equal_parity_merge(self):
+        aut = with_priorities((8, 1, 4, 3, 6))
+        partition, signs, block_of = trace._compact_blocks(aut, False)
+        assert partition == [("s1", "s3"), ("s4", "s6", "s8")]
+        assert signs == [MU, NU]
+        assert block_of == {"s1": 1, "s3": 1, "s4": 2, "s6": 2, "s8": 2}
+        assert len(build_restricted_hes(aut, parse_lasso(";a")).hes) == 8
+
+    @pytest.mark.parametrize("priority, sign", [(2, NU), (3, MU)])
+    def test_single_priority_is_one_block(self, priority, sign):
+        aut = with_priorities((priority,))
+        assert trace._compact_blocks(aut, False) == ([(f"s{priority}",)], [sign], {f"s{priority}": 1})
+
+    def test_decorated_is_one_nu_block(self):
+        aut = with_priorities((8, 1, 4, 3, 6))
+        partition, signs, block_of = trace._compact_blocks(aut, True)
+        assert partition == [("s1", "s3", "s4", "s6", "s8")]
+        assert signs == [NU]
+        assert set(block_of.values()) == {1}
+
+    def test_sparse_lassos_match_product_graph(self):
+        rng = random.Random(707)
+        verdicts = []
+        for _ in range(600):
+            states = [f"s{i}" for i in range(rng.randint(1, 6))]
+            transitions = [
+                (x, a, y)
+                for x in states
+                for a in "ab"
+                for y in rng.sample(states, rng.randint(0, min(2, len(states))))
+            ]
+            aut = ParityWordAutomaton(states, ("a", "b"), transitions, sparse_priorities(rng, states))
+            x = rng.choice(states)
+            w = random_lasso(aut.alphabet, 3, 4, rng)
+            v = parity_trace_membership(aut, x, w).value
+            oracle = lasso_acceptance(aut, x, w)
+            assert v == oracle.value, (aut.priorities, x, w)
+            if v:
+                xi = decorate_run(oracle.run, aut.priorities)
+                assert decorated_trace_membership(aut, x, xi).value
+            verdicts.append(v)
+        assert True in verdicts and False in verdicts
+
+    def test_sparse_trees_match_parity_game(self):
+        rng = random.Random(708)
+        alphabet = RankedAlphabet([("f", 2), ("g", 1), ("c", 0)])
+        verdicts = []
+        for _ in range(200):
+            states = [f"s{i}" for i in range(rng.randint(1, 6))]
+            transitions = [
+                (x, sym, tuple(rng.choice(states) for _ in range(alphabet.arity(sym))))
+                for x in states
+                for sym in alphabet.symbols
+                for _ in range(rng.choice((1, 1, 2)))
+            ]
+            aut = ParityTreeAutomaton(states, alphabet, transitions, sparse_priorities(rng, states))
+            t = wide_tree(rng, rng.randint(5, 20), alphabet)
+            x = rng.choice(states)
+            v = tree_language_membership(aut, x, t).value
+            oracle = tree_membership_oracle(aut, x, t)
+            assert v == oracle.value, (aut.priorities, x)
+            if v:
+                xi = decorate_run(oracle.run, aut.priorities)
+                assert decorated_trace_membership(aut, x, xi).value
+            verdicts.append(v)
+        assert True in verdicts and False in verdicts
+
+    def test_decorated_matches_literal_system(self):
+        # arbitrary decorations, most of them unrealisable
+        rng = random.Random(709)
+        verdicts = []
+        for _ in range(300):
+            states = [f"s{i}" for i in range(rng.randint(1, 5))]
+            transitions = [(x, a, y) for x in states for a in "ab" for y in rng.sample(states, 1)]
+            aut = ParityWordAutomaton(states, ("a", "b"), transitions, sparse_priorities(rng, states))
+            x = rng.choice(states)
+            used = sorted(set(aut.priorities.values()))
+            plain = random_lasso(aut.alphabet, 2, 3, rng)
+            xi = DecoratedLassoWord(
+                tuple((a, rng.choice(used)) for a in plain.stem),
+                tuple((a, rng.choice(used)) for a in plain.cycle),
+            )
+            rh = build_restricted_hes(aut, xi, "decorated")
+            literal = rh.member(rh.solve().assignment, x, aut.priority(x))
+            assert trace._compact_verdict(aut, x, xi, True).value == literal
+            verdicts.append(literal)
         assert True in verdicts and False in verdicts
