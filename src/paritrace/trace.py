@@ -109,11 +109,21 @@ BOTTOM = _Bottom()
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Deterministic counters of one solve: Kleene steps per equation, body
+    evaluations, generator positions and states per equation."""
+
     iterations: tuple[int, ...]
     body_evals: int
+    positions: int
+    widths: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {"iterations": list(self.iterations), "body_evals": self.body_evals}
+        return {
+            "iterations": list(self.iterations),
+            "body_evals": self.body_evals,
+            "positions": self.positions,
+            "widths": list(self.widths),
+        }
 
 
 @dataclass
@@ -170,15 +180,37 @@ def _verdict(rh: RestrictedHes, x: str, block: int) -> MembershipVerdict:
     """Solve ``rh`` and ask whether the input lies in ``x``'s variable."""
     sol = rh.solve()
     value = rh.member(sol.assignment, x, block)
-    return MembershipVerdict(value, stats=SolveStats(sol.iterations, sol.body_evals))
+    widths = tuple(len(c.domain) for c in rh.carriers)
+    stats = SolveStats(sol.iterations, sol.body_evals, len(rh.positions), widths)
+    return MembershipVerdict(value, stats=stats)
 
 
 # ---------------------------------------------------------------------------
 # Restricted-system construction
 # ---------------------------------------------------------------------------
 
+def _masks_by_value(values) -> dict:
+    """``value -> bitmask of the positions p with values[p] == value``;
+    positions whose value is None are left out.  Each mask is made once,
+    from a '0'/'1' string over the span of its positions."""
+    where: dict = {}
+    for p, v in enumerate(values):
+        if v is not None:
+            where.setdefault(v, []).append(p)
+    masks = {}
+    for v, ps in where.items():
+        lo, hi = ps[0], ps[-1]
+        buf = bytearray(b"0") * (hi - lo + 1)
+        for p in ps:
+            buf[hi - p] = 49  # ord("1"): bit p is character hi - p
+        masks[v] = int(buf, 2) << lo
+    return masks
+
+
 def predecessor_maps(children: Sequence[Sequence[int]]) -> tuple:
-    """Shift decompositions of the predecessor maps of a pointed generator.
+    """Shift decompositions of the predecessor maps of a pointed generator,
+    read off its child lists (a lasso's generator states them in closed form
+    instead, see ``_lasso_generator``).
 
     ``children[p]`` lists the child positions of position ``p``.  Child slot
     ``i`` has the predecessor map ``pre_i(S) = {p : children[p][i] in S}``,
@@ -186,19 +218,20 @@ def predecessor_maps(children: Sequence[Sequence[int]]) -> tuple:
     ``mask_d = {p : children[p][i] == p + d}``, where ``shift(S, d)`` moves
     bit ``p + d`` of ``S`` to bit ``p``.  Slot ``i`` is returned as the pair
     ``(right, left)`` of ``(shift, mask_d)`` tuples: right shifts by ``d``
-    for ``d >= 0`` and left shifts by ``-d`` for ``d < 0``.  A lasso needs
-    two offsets, ``+1`` and the wrap back to the loop start, whatever its
-    length.
+    for ``d >= 0`` and left shifts by ``-d`` for ``d < 0``.  Each mask is
+    built once, so the cost is linear in the child slots plus the spans of
+    the offsets' positions.
     """
     n = len(children)
-    maps: list[dict[int, int]] = []
+    offsets: list[list] = []  # offsets[i][p]: children[p][i] - p, None without slot i
     for p, kids in enumerate(children):
         for i, q in enumerate(kids):
             if not (0 <= q < n):
                 raise ValueError(f"position {p}: child position {q} out of range")
-            if i == len(maps):
-                maps.append({})
-            maps[i][q - p] = maps[i].get(q - p, 0) | (1 << p)
+            if i == len(offsets):
+                offsets.append([None] * n)
+            offsets[i][p] = q - p
+    maps = [_masks_by_value(slot) for slot in offsets]
     return tuple(
         (
             tuple((d, mask) for d, mask in m.items() if d >= 0),
@@ -238,13 +271,16 @@ def make_phi_body(
         for slots, mask in row:
             idx = []
             for i, (k, yi) in enumerate(slots):
-                if not (0 <= k < len(widths)):
-                    raise ValueError(f"slot {(k, yi)}: equation index out of range")
-                if not (0 <= yi < widths[k]):
-                    raise ValueError(f"slot {(k, yi)}: state index out of range")
-                if i >= len(preds):
-                    raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
-                idx.append(keys.setdefault((i, k, yi), len(keys)))
+                j = keys.get((i, k, yi))
+                if j is None:
+                    if not (0 <= k < len(widths)):
+                        raise ValueError(f"slot {(k, yi)}: equation index out of range")
+                    if not (0 <= yi < widths[k]):
+                        raise ValueError(f"slot {(k, yi)}: state index out of range")
+                    if i >= len(preds):
+                        raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
+                    j = keys[(i, k, yi)] = len(keys)
+                idx.append(j)
             compiled.append((mask, tuple(idx)))
         rows.append(tuple(compiled))
     # (equation, domain index, right shifts, left shifts), one entry per key
@@ -276,69 +312,55 @@ def make_phi_body(
     return body
 
 
-def _masks_by_value(values) -> dict:
-    """``value -> bitmask of the positions p with values[p] == value``."""
-    masks: dict = {}
-    for p, v in enumerate(values):
-        masks[v] = masks.get(v, 0) | (1 << p)
-    return masks
-
-
 def _restricted_system(
-    moves, labels, children, root, partition, signs, prios=None, priority=None
+    transitions, labels, preds, root, partition, signs, prios=None, priority=None
 ):
     """Restrict the equation system given by ``partition`` and ``signs`` to
-    the pointed generator ``(labels, children, root)``.
+    the pointed generator ``(labels, preds, root)``.
 
-    Positions are ``0 .. len(labels) - 1``; position ``p`` carries the symbol
-    ``labels[p]`` and has the child positions ``children[p]``.  ``moves`` maps
-    ``(state, symbol)`` to the successor-state tuples of its transitions,
-    whose i-th state must hold at ``children[p][i]``.  Equation k ranges over
-    the states of ``partition[k]``.  In decorated mode ``prios`` gives each
-    position's priority and ``priority`` each state's, and state x admits
-    position p only when ``prios[p] == priority[x]``, whatever the partition.
+    Position ``p`` (``0 .. len(labels) - 1``) carries the symbol
+    ``labels[p]``; ``preds`` are the generator's own predecessor maps, in
+    the form of ``predecessor_maps``.  ``transitions`` are ``(state, symbol,
+    successors)`` triples, whose i-th successor must hold at child slot i.
+    Equation k ranges over the states of ``partition[k]``.  In decorated
+    mode ``prios`` gives each position's priority and ``priority`` each
+    state's, and state x admits position p only when
+    ``prios[p] == priority[x]``, whatever the partition.
 
-    Everything position-wise is a bitmask built here once: the positions of
-    each symbol, the positions of each priority, and the predecessor maps.
+    The symbol and priority masks are built here once, and one pass over
+    the transitions groups them by (state, successor tuple).
     """
-    positions = tuple(range(len(labels)))
-    pos_lat = PowersetLattice(positions)
+    pos_lat = PowersetLattice(range(len(labels)))
     sym_masks = _masks_by_value(labels)
-    prio_masks = _masks_by_value(prios or ())
-    preds = predecessor_maps(children)
     slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
+    prio_masks = None if prios is None else _masks_by_value(prios)
+    rows = [[{} for _ in block] for block in partition]
+    for x, sym, ys in transitions:
+        mask = sym_masks.get(sym, 0)
+        if prio_masks is not None:
+            mask &= prio_masks.get(priority[x], 0)
+        if mask:
+            k, xi = slot_of[x]
+            row = rows[k][xi]
+            row[ys] = row.get(ys, 0) | mask
     widths = tuple(len(block) for block in partition)
     equations = []
     carriers = []
     for k, block in enumerate(partition):
-        groups = []
-        for x in block:
-            admitted = pos_lat.top if prios is None else prio_masks.get(priority[x], 0)
-            by_targets: dict = {}
-            for sym, sym_mask in sym_masks.items():
-                mask = sym_mask & admitted
-                if not mask:
-                    continue
-                for ys in moves.get((x, sym), ()):
-                    by_targets[ys] = by_targets.get(ys, 0) | mask
-            groups.append([(tuple(slot_of[y] for y in ys), m) for ys, m in by_targets.items()])
+        groups = [
+            [(tuple(map(slot_of.__getitem__, ys)), m) for ys, m in row.items()]
+            for row in rows[k]
+        ]
         carrier = FunctionLattice(block, pos_lat)
         carriers.append(carrier)
         body = make_phi_body(groups, preds, widths=widths)
         equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
-    return RestrictedHes(HierEqSystem(equations), carriers, positions, root)
+    return RestrictedHes(HierEqSystem(equations), carriers, pos_lat.ground, root)
 
 
-def _moves(transitions) -> dict:
-    """``(state, symbol) -> [successor-state tuple, ...]`` in transition order."""
-    moves: dict = {}
-    for x, sym, targets in transitions:
-        moves.setdefault((x, sym), []).append(targets)
-    return moves
-
-
-def _word_moves(aut) -> dict:
-    return _moves((x, a, (y,)) for (x, a, y) in aut.transitions)
+def _word_transitions(aut) -> list:
+    """A word automaton's transitions as ``(x, a, (y,))`` triples."""
+    return [(x, a, (y,)) for (x, a, y) in aut.transitions]
 
 
 def _parity_blocks(aut, decorated: bool):
@@ -382,14 +404,22 @@ def _split_labels(labels, decorated: bool):
 
 
 def _lasso_generator(aut, w, decorated: bool):
-    """The unary generator of a lasso: position p has the one child
-    ``next_pos(p)``."""
-    n = w.n_positions
-    labels, prios = _split_labels([w.letter(p) for p in range(n)], decorated)
+    """The unary generator of a lasso, with its predecessor map in closed
+    form.  Position p carries letter p of ``stem + cycle`` and has the one
+    child ``p + 1``, except that the last position wraps to the loop start
+    ``len(stem)``.  So ``pre(S)`` is two shifts: a right shift by 1 masked to
+    positions ``0 .. n - 2``, and at position ``n - 1`` a left shift by
+    ``n - 1 - len(stem)`` (a right shift by 0 when the cycle has length 1).
+    """
+    labels, prios = _split_labels((*w.stem, *w.cycle), decorated)
     missing = set(labels) - set(aut.alphabet)
     if missing:
         raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
-    return labels, tuple((w.next_pos(p),) for p in range(n)), 0, prios
+    n, wrap = len(labels), len(labels) - 1 - len(w.stem)
+    last = 1 << (n - 1)
+    step = ((1, last - 1),) if n > 1 else ()
+    preds = (step + ((0, last),), ()) if wrap == 0 else (step, ((wrap, last),))
+    return labels, (preds,), 0, prios
 
 
 def _tree_generator(aut, t, decorated: bool):
@@ -406,7 +436,7 @@ def _tree_generator(aut, t, decorated: bool):
                 f"tree gives {len(t.children(n))} children"
             )
     children = tuple(tuple(index[c] for c in t.children(n)) for n in nodes)
-    return labels, children, index[t.root], prios
+    return labels, predecessor_maps(children), index[t.root], prios
 
 
 def _restrict(aut, input_obj, decorated: bool, partition, signs) -> RestrictedHes:
@@ -417,19 +447,19 @@ def _restrict(aut, input_obj, decorated: bool, partition, signs) -> RestrictedHe
             raise TypeError("decorated mode needs a DecoratedLassoWord")
         if not decorated and not isinstance(input_obj, LassoWord):
             raise TypeError("ordinary mode needs a LassoWord")
-        moves = _word_moves(aut)
-        labels, children, root, prios = _lasso_generator(aut, input_obj, decorated)
+        transitions = _word_transitions(aut)
+        labels, preds, root, prios = _lasso_generator(aut, input_obj, decorated)
     elif isinstance(aut, ParityTreeAutomaton):
         if decorated and not isinstance(input_obj, DecoratedRegularTreeRep):
             raise TypeError("decorated mode needs a DecoratedRegularTreeRep")
         if not decorated and not isinstance(input_obj, RegularTreeRep):
             raise TypeError("ordinary mode needs a RegularTreeRep")
-        moves = _moves(aut.transitions)
-        labels, children, root, prios = _tree_generator(aut, input_obj, decorated)
+        transitions = aut.transitions
+        labels, preds, root, prios = _tree_generator(aut, input_obj, decorated)
     else:
         raise TypeError(f"cannot restrict {type(aut).__name__}")
     return _restricted_system(
-        moves, labels, children, root, partition, signs, prios, aut.priorities
+        transitions, labels, preds, root, partition, signs, prios, aut.priorities
     )
 
 
@@ -484,8 +514,8 @@ def buchi_trace_membership(
         tuple(s for s in aut.states if s not in aut.accepting),
         tuple(s for s in aut.states if s in aut.accepting),
     ]
-    labels, children, root, _ = _lasso_generator(aut, w, False)
-    rh = _restricted_system(_word_moves(aut), labels, children, root, partition, [MU, NU])
+    labels, preds, root, _ = _lasso_generator(aut, w, False)
+    rh = _restricted_system(_word_transitions(aut), labels, preds, root, partition, [MU, NU])
     return _verdict(rh, x, 2 if x in aut.accepting else 1)
 
 
@@ -525,11 +555,11 @@ _TICK = ("✓",)
 def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> RestrictedHes:
     """The finite-trace equation restricted to a generator whose end
     positions carry ``✓``: one mu-equation over all states, where every
-    final state has a nullary ``✓`` move."""
-    moves = _word_moves(aut)
-    for y in aut.final:
-        moves[(y, _TICK)] = [()]
-    return _restricted_system(moves, labels, children, 0, [aut.states], [MU])
+    final state has a nullary ``✓`` transition."""
+    transitions = _word_transitions(aut) + [(y, _TICK, ()) for y in aut.final]
+    return _restricted_system(
+        transitions, labels, predecessor_maps(children), 0, [aut.states], [MU]
+    )
 
 
 def finite_trace_membership(aut: ParityWordAutomaton, x: str, word) -> bool:
@@ -591,8 +621,8 @@ def infinitary_trace_membership(aut: ParityWordAutomaton, x: str, w: LassoWord) 
     A single nu-equation over all states.
     """
     _require_state(aut, x)
-    labels, children, root, _ = _lasso_generator(aut, w, False)
-    rh = _restricted_system(_word_moves(aut), labels, children, root, [aut.states], [NU])
+    labels, preds, root, _ = _lasso_generator(aut, w, False)
+    rh = _restricted_system(_word_transitions(aut), labels, preds, root, [aut.states], [NU])
     sol = rh.solve()
     return rh.member(sol.assignment, x, 1)
 

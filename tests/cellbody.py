@@ -4,11 +4,16 @@ It evaluates one (state, position) cell at a time: position ``p`` enters
 the set of state ``x`` when some transition of ``x`` on ``p``'s symbol has
 the slot bit of every successor set at the matching child of ``p``, and,
 in decorated mode, ``p``'s priority equals ``x``'s.  Its arguments are
-those of ``trace._restricted_system``; it returns one body per equation.
+those of ``trace._restricted_system``, except that the generator is given
+by its child lists rather than its predecessor maps; it returns one body
+per equation.
 """
 
 
-def cell_bodies(moves, labels, children, partition, prios=None, priority=None):
+def cell_bodies(transitions, labels, children, partition, prios=None, priority=None):
+    moves: dict = {}
+    for x, sym, ys in transitions:
+        moves.setdefault((x, sym), []).append(ys)
     slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
     bodies = []
     for block in partition:

@@ -34,10 +34,13 @@ def _decorate(letters, rng, two_n):
 
 def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
     """The arguments ``trace._restricted_system`` receives for one seeded
-    input of ``kind``: ``(moves, labels, children, root, partition, signs,
-    prios, priority)``.  ``blocks(aut, decorated)`` gives the partition and
-    signs of the parity kinds: the literal ``_parity_blocks`` or the
-    compacted ``_compact_blocks``."""
+    input of ``kind``, ``(transitions, labels, preds, root, partition,
+    signs, prios, priority)``, where ``preds`` are the generator's own
+    predecessor maps, followed by the child lists the per-cell reference
+    uses, built independently from ``next_pos`` or ``t.children``.
+    ``blocks(aut, decorated)`` gives the partition and signs of the parity
+    kinds: the literal ``_parity_blocks`` or the compacted
+    ``_compact_blocks``."""
     if kind in ("tree", "decorated-tree"):
         params = TreeGenParams(
             n_states=rng.randint(2, 5), n_symbols=3, max_arity=2, two_n=4, density=0.7
@@ -50,29 +53,33 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
                 {n: ((t.label(n), rng.randint(1, 4)), t.children(n)) for n in t.node_ids()},
                 t.root,
             )
-        labels, children, root, prios = trace._tree_generator(aut, t, decorated)
+        labels, preds, root, prios = trace._tree_generator(aut, t, decorated)
         partition, signs = blocks(aut, decorated)[:2]
-        moves = trace._moves(aut.transitions)
-        return moves, labels, children, root, partition, signs, prios, aut.priorities
+        index = {n: i for i, n in enumerate(t.node_ids())}
+        children = tuple(tuple(index[c] for c in t.children(n)) for n in t.node_ids())
+        args = aut.transitions, labels, preds, root, partition, signs, prios, aut.priorities
+        return args, children
     params = WordGenParams(n_states=rng.randint(2, 6), n_letters=2, two_n=4, density=0.35)
     if kind == "buchi":
         aut = random_buchi_automaton(params, seed)
     else:
         aut = random_word_automaton(params, seed)
-    moves = trace._word_moves(aut)
+    transitions = trace._word_transitions(aut)
     if kind == "finite":
         word = tuple(rng.choice(aut.alphabet) for _ in range(rng.randint(0, 30)))
         for y in rng.sample(aut.states, rng.randint(0, len(aut.states))):
-            moves[(y, trace._TICK)] = [()]
+            transitions.append((y, trace._TICK, ()))
         children = tuple((p + 1,) for p in range(len(word))) + ((),)
-        return moves, word + (trace._TICK,), children, 0, [aut.states], [MU], None, None
+        preds = trace.predecessor_maps(children)
+        return (transitions, word + (trace._TICK,), preds, 0, [aut.states], [MU], None, None), children
     w = random_lasso(aut.alphabet, 15, 25, rng)
+    children = tuple((w.next_pos(p),) for p in range(w.n_positions))
     if kind == "decorated-lasso":
         xi = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
-        labels, children, root, prios = trace._lasso_generator(aut, xi, True)
+        labels, preds, root, prios = trace._lasso_generator(aut, xi, True)
         partition, signs = blocks(aut, True)[:2]
-        return moves, labels, children, root, partition, signs, prios, aut.priorities
-    labels, children, root, _ = trace._lasso_generator(aut, w, False)
+        return (transitions, labels, preds, root, partition, signs, prios, aut.priorities), children
+    labels, preds, root, _ = trace._lasso_generator(aut, w, False)
     if kind == "lasso":
         partition, signs = blocks(aut, False)[:2]
     elif kind == "buchi":
@@ -83,7 +90,7 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
         signs = [MU, NU]
     else:
         partition, signs = [aut.states], [NU]
-    return moves, labels, children, root, partition, signs, None, None
+    return (transitions, labels, preds, root, partition, signs, None, None), children
 
 
 def random_value(n_positions, rng):
@@ -105,10 +112,10 @@ def random_value(n_positions, rng):
 def check_against_cells(kind, rng, blocks=trace._parity_blocks):
     checked = nonempty = 0
     for seed in range(60):
-        args = generator_args(kind, seed, rng, blocks)
-        moves, labels, children, _root, partition, _signs, prios, priority = args
+        args, children = generator_args(kind, seed, rng, blocks)
+        transitions, labels, _preds, _root, partition, _signs, prios, priority = args
         rh = trace._restricted_system(*args)
-        reference = cell_bodies(moves, labels, children, partition, prios, priority)
+        reference = cell_bodies(transitions, labels, children, partition, prios, priority)
         n = len(labels)
         for _ in range(8):
             assign = tuple(

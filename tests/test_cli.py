@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_hes import hes_texts
+from test_parsers import AUTOMATON_TEXTS, TREE_TOKENS, token_lines
 
+from paritrace.automata import serialize
 from paritrace.cli import main
+from paritrace.harness import appendix_automaton
 
 INTRO = """word-parity
 alphabet: a b
@@ -87,6 +95,102 @@ class TestMember:
     def test_bad_lasso_is_usage_error(self, capsys, intro_file):
         code, _, err = run(capsys, ["member", intro_file, "--state", "x", "--lasso", "ba"])
         assert code == 2
+
+
+class TestStats:
+    """``--json`` stats: deterministic counters and the lattice shape."""
+
+    def test_member_stats_on_appendix(self, capsys, tmp_path):
+        path = tmp_path / "appendix.aut"
+        path.write_text(serialize(appendix_automaton()))
+        argv = ["member", str(path), "--state", "x", "--lasso", "a;bab", "--json"]
+        outs = {run(capsys, argv) for _ in range(2)}
+        # priorities 1, 2, 3 compact to three one-state equations; the
+        # lasso has four positions
+        assert outs == {(
+            0,
+            '{"schema_version": 1, "stats": {"body_evals": 8, "iterations": [2, 0, 1], '
+            '"positions": 4, "widths": [1, 1, 1]}, "verdict": true}',
+            "",
+        )}
+
+    def test_tree_member_stats(self, capsys, tmp_path):
+        aut, tree = tmp_path / "t.aut", tmp_path / "t.tree"
+        aut.write_text(TREE_AUT)
+        tree.write_text(TREE_INPUT)
+        code, out, _ = run(capsys, ["tree-member", str(aut), str(tree), "--state", "x", "--json"])
+        stats = json.loads(out)["stats"]
+        assert code == 0 and (stats["positions"], stats["widths"]) == (1, [1])
+
+
+def call_main(argv):
+    """``main(argv)`` with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+DECORATED_TREE = """decorated-tree
+root: n
+node n = f:2(n, m);
+node m = c:1();
+"""
+
+
+@st.composite
+def edited(draw, samples):
+    """A sample with a slice of at most 8 characters replaced by arbitrary
+    text."""
+    text = draw(st.sampled_from(samples))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    return text[:i] + draw(st.text(max_size=4)) + text[j:]
+
+
+def texts(samples):
+    """Arbitrary text, a valid sample, or an edited sample."""
+    return st.text(max_size=40) | st.sampled_from(samples) | edited(samples)
+
+
+class TestCliFuzz:
+    """Arbitrary file contents through ``main``: every command answers or
+    rejects the file with exit 2 and one ``error:`` line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        AUTOMATON_TEXTS | texts([INTRO, FLAGGED, DET_WORD, TREE_AUT]),
+        token_lines(TREE_TOKENS) | texts([TREE_INPUT, DECORATED_TREE]),
+        hes_texts() | texts([HES_TEXT]),
+        st.binary(max_size=8),
+        st.sampled_from([";ab", "b;a", "a,b;b,"]),
+    )
+    def test_commands_never_raise(self, tmp_path_factory, aut, tree, hes, raw, lasso):
+        d = tmp_path_factory.mktemp("fuzz")
+        paths = {}
+        for name, text in (("aut", aut), ("tree", tree), ("hes", hes)):
+            paths[name] = str(d / name)
+            (d / name).write_text(text, encoding="utf-8")
+        paths["raw"] = str(d / "raw")
+        (d / "raw").write_bytes(raw)
+        (d / "valid.aut").write_text(TREE_AUT)
+        for argv in (
+            ["member", paths["aut"], "--state", "x", "--lasso", lasso],
+            ["member", paths["raw"], "--state", "x", "--lasso", lasso],
+            ["tree-member", paths["aut"], paths["tree"], "--state", "x", "--both"],
+            ["tree-member", str(d / "valid.aut"), paths["tree"], "--state", "x", "--both"],
+            ["flatten", paths["tree"]],
+            ["flatten", paths["raw"]],
+            ["solve-hes", paths["hes"]],
+            ["solve-hes", paths["raw"]],
+        ):
+            code, out, err = call_main(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.count("error:") == 1 and err.startswith("error:"), (argv, err)
+                assert err.count("\n") == 1 and out == "", (argv, err)
+            else:
+                assert err == "" and out.endswith("\n"), (argv, err)
 
 
 class TestDecoratedCommands:

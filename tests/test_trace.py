@@ -781,3 +781,92 @@ class TestCompaction:
             assert trace._compact_verdict(aut, x, xi, True).value == literal
             verdicts.append(literal)
         assert True in verdicts and False in verdicts
+
+
+def pre(maps, s):
+    """``pre(S)`` from one child slot's ``(right, left)`` shift maps."""
+    right, left = maps
+    acc = 0
+    for d, m in right:
+        acc |= (s >> d) & m
+    for d, m in left:
+        acc |= (s << d) & m
+    return acc
+
+
+def pre_by_definition(children, s, i=0):
+    """``{p : children[p][i] in S}``, read off the child lists."""
+    return sum(1 << p for p, kids in enumerate(children) if len(kids) > i and (s >> kids[i]) & 1)
+
+
+class TestLassoPredecessorMaps:
+    """A lasso's generator states its predecessor map in closed form: a
+    right shift by 1 and the wrap from the last position to the loop
+    start.  It must agree with ``predecessor_maps`` over child lists built
+    from ``next_pos``."""
+
+    LASSOS = [
+        parse_lasso(";a"),  # n = 1
+        parse_lasso(";abba"),  # stem 0
+        parse_lasso("abab;b"),  # cycle of length 1 after a stem
+        parse_lasso("ab;ba"),
+        parse_decorated_lasso(";b:1"),
+        parse_decorated_lasso("b:1;a:2,b:1"),
+        parse_decorated_lasso("a:1,b:2,b:3;a:2"),
+    ]
+
+    @staticmethod
+    def long_lasso():
+        rng = random.Random(5000)
+        word = tuple(rng.choice("ab") for _ in range(5000))
+        return LassoWord(word[:1234], word[1234:])
+
+    @pytest.mark.parametrize("i", range(len(LASSOS) + 1))
+    def test_closed_form_equals_child_lists(self, i):
+        w = self.LASSOS[i] if i < len(self.LASSOS) else self.long_lasso()
+        decorated = isinstance(w, DecoratedLassoWord)
+        aut = intro_automaton()
+        labels, preds, root, prios = trace._lasso_generator(aut, w, decorated)
+        n = w.n_positions
+        children = tuple((w.next_pos(p),) for p in range(n))
+        letters = [w.letter(p) for p in range(n)]
+        assert root == 0
+        assert (list(zip(labels, prios)) if decorated else list(labels)) == letters
+        assert preds == trace.predecessor_maps(children)
+        rng = random.Random(f"pre-{i}")
+        for s in [0, (1 << n) - 1, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(50)]:
+            assert pre(preds[0], s) == pre_by_definition(children, s)
+
+    def test_predecessor_maps_on_random_child_lists(self):
+        # dense and sparse offsets, nullary positions and two child slots
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(1, 300)
+            children = []
+            for p in range(n):
+                arity = rng.choice((0, 1, 2, 2))
+                near = rng.random() < 0.5
+                children.append(
+                    tuple(
+                        min(n - 1, p + 1) if near else rng.randrange(n) for _ in range(arity)
+                    )
+                )
+            maps = trace.predecessor_maps(children)
+            s = rng.getrandbits(n)
+            for i, slot in enumerate(maps):
+                assert pre(slot, s) == pre_by_definition(children, s, i)
+
+    def test_lasso_memberships_never_read_child_lists(self, monkeypatch):
+        def refuse(children):
+            raise AssertionError("a lasso's predecessor maps are built in closed form")
+
+        monkeypatch.setattr(trace, "predecessor_maps", refuse)
+        aut = intro_automaton()
+        assert parity_trace_membership(aut, "x", parse_lasso(";ba")).value
+        w = self.long_lasso()
+        assert parity_trace_membership(aut, "x", w).value == lasso_acceptance(aut, "x", w).value
+        assert decorated_trace_membership(aut, "x", parse_decorated_lasso("b:1;a:2,b:1")).value
+        buchi = BuchiWordAutomaton(aut.states, aut.alphabet, aut.transitions, {"y"})
+        assert buchi_trace_membership(buchi, "x", parse_lasso(";ba")).value
+        assert not buchi_trace_membership(buchi, "x", parse_lasso("b;a")).value
+        assert infinitary_trace_membership(aut, "x", parse_lasso("b;a"))
