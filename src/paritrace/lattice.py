@@ -112,15 +112,18 @@ class PowersetLattice(FiniteLattice):
     """Subsets of a finite indexed ground set, represented as bitmask ints.
 
     Bit ``i`` of an element corresponds to ``ground[i]``; the subset order
-    coincides with bitwise implication.
+    coincides with bitwise implication.  The item -> bit index is built on
+    first use, since position lattices are only ever read as bitmasks; a
+    ``range`` ground needs no duplicate check.
     """
 
     def __init__(self, ground: Any):
+        distinct = isinstance(ground, range)
         ground = tuple(ground)
-        if len(set(ground)) != len(ground):
+        if not distinct and len(set(ground)) != len(ground):
             raise ValueError("ground set has duplicate items")
         self.ground = ground
-        self._index = {item: i for i, item in enumerate(ground)}
+        self._index: dict | None = None
         self._top = (1 << len(ground)) - 1
 
     @property
@@ -149,16 +152,22 @@ class PowersetLattice(FiniteLattice):
     def _iter_elements(self) -> Iterator[int]:
         return iter(range(self._top + 1))
 
+    def _indices(self) -> dict:
+        if self._index is None:
+            self._index = {item: i for i, item in enumerate(self.ground)}
+        return self._index
+
     def index(self, item: Any) -> int:
-        return self._index[item]
+        return self._indices()[item]
 
     def singleton(self, item: Any) -> int:
-        return 1 << self._index[item]
+        return 1 << self._indices()[item]
 
     def from_iterable(self, items) -> int:
+        index = self._indices()
         mask = 0
         for item in items:
-            mask |= 1 << self._index[item]
+            mask |= 1 << index[item]
         return mask
 
     def to_set(self, mask: int) -> frozenset:

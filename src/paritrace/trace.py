@@ -17,8 +17,11 @@ Ordinary semantics alternates signs (mu on odd priority classes, nu on
 even ones); the decorated semantics is the all-nu system whose bodies also
 pin the input's priorities against the automaton's, and whose positive
 answers mean "some run realises exactly this decoration".  The membership
-functions solve both at the automaton's alternation depth: empty classes
-are dropped and adjacent classes of one sign share an equation
+functions solve both at the automaton's alternation depth, over the states
+of the root's cone only: the cone of (x, root) is the set of (state,
+position) pairs that it reaches over enabled transitions
+(``_cone_states``), the other states are left out, then empty classes are
+dropped and adjacent classes of one sign share an equation
 (``_compact_blocks``); ``build_restricted_hes`` keeps the literal system.
 """
 
@@ -152,9 +155,13 @@ class RestrictedHes:
     paper's literal system (``build_restricted_hes``) block i is priority
     class i, and an empty class keeps its equation over a one-point lattice
     so the indexing of the defining system stays intact.  The membership
-    functions solve the compacted system instead, one block per maximal run
-    of used priorities of equal parity (one block in decorated mode); the
-    Büchi and run-existence systems have partitions of their own.
+    functions solve the compacted system instead: its blocks hold only the
+    states of the cone of (x, root), the states that the input can drive a
+    run from x into, one block per maximal run of their priorities of equal
+    parity (one block in decorated mode), and a transition to a state
+    outside the cone is left out.  ``positions`` is every position of the
+    generator either way.  The Büchi and run-existence systems have
+    partitions of their own over all states.
     """
 
     def __init__(self, hes, carriers, positions, start):
@@ -312,6 +319,70 @@ def make_phi_body(
     return body
 
 
+def _moves(transitions, labels, bit, prios=None, priority=None):
+    """Group ``(state, symbol, successors)`` triples in one pass.
+
+    Position ``p`` enables the transitions on its symbol ``labels[p]``; in
+    decorated mode ``prios`` gives each position's priority and
+    ``priority`` each state's, and state x admits position p only when
+    ``prios[p] == priority[x]``.  ``bit[y]`` is state y's bit in a set of
+    states.  The transitions enabled somewhere come back in two indexes:
+
+    - ``moves[x][ys]``: the set of positions where some transition of
+      state ``x`` to the successor tuple ``ys`` is enabled, as a bitmask;
+    - ``post[x][kind][i]``: the set of i-th successors of the transitions
+      of ``x`` enabled at the positions of one kind, those of one symbol
+      (in decorated mode, of one symbol and one priority), as a bitmask.
+    """
+    sym_masks = _masks_by_value(labels)
+    prio_masks = None if prios is None else _masks_by_value(prios)
+    moves: dict = {}
+    post: dict = {}
+    for x, sym, ys in transitions:
+        mask = sym_masks.get(sym, 0)
+        kind = sym
+        if prio_masks is not None:
+            mask &= prio_masks.get(priority[x], 0)
+            kind = (sym, priority[x])
+        if mask:
+            row = moves.get(x)
+            if row is None:
+                row = moves[x] = {}
+                post[x] = {}
+            row[ys] = row.get(ys, 0) | mask
+            slots = post[x].get(kind)
+            if slots is None:
+                slots = post[x][kind] = [0] * len(ys)
+            for i, y in enumerate(ys):
+                slots[i] |= bit[y]
+    return moves, post
+
+
+def _system_from_moves(moves, n, preds, root, partition, signs) -> RestrictedHes:
+    """The restricted system over ``n`` positions whose equation k ranges
+    over the states of ``partition[k]``, with the grouped ``moves`` of
+    ``_moves``.  A move to a state outside the partition is left out."""
+    pos_lat = PowersetLattice(range(n))
+    slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
+    widths = tuple(len(block) for block in partition)
+    equations = []
+    carriers = []
+    for k, block in enumerate(partition):
+        groups = []
+        for x in block:
+            row = []
+            for ys, mask in moves.get(x, {}).items():
+                slots = tuple(map(slot_of.get, ys))
+                if None not in slots:
+                    row.append((slots, mask))
+            groups.append(row)
+        carrier = FunctionLattice(block, pos_lat)
+        carriers.append(carrier)
+        body = make_phi_body(groups, preds, widths=widths)
+        equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
+    return RestrictedHes(HierEqSystem(equations), carriers, pos_lat.ground, root)
+
+
 def _restricted_system(
     transitions, labels, preds, root, partition, signs, prios=None, priority=None
 ):
@@ -330,32 +401,58 @@ def _restricted_system(
     The symbol and priority masks are built here once, and one pass over
     the transitions groups them by (state, successor tuple).
     """
-    pos_lat = PowersetLattice(range(len(labels)))
-    sym_masks = _masks_by_value(labels)
-    slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
-    prio_masks = None if prios is None else _masks_by_value(prios)
-    rows = [[{} for _ in block] for block in partition]
-    for x, sym, ys in transitions:
-        mask = sym_masks.get(sym, 0)
-        if prio_masks is not None:
-            mask &= prio_masks.get(priority[x], 0)
-        if mask:
-            k, xi = slot_of[x]
-            row = rows[k][xi]
-            row[ys] = row.get(ys, 0) | mask
-    widths = tuple(len(block) for block in partition)
-    equations = []
-    carriers = []
-    for k, block in enumerate(partition):
-        groups = [
-            [(tuple(map(slot_of.__getitem__, ys)), m) for ys, m in row.items()]
-            for row in rows[k]
-        ]
-        carrier = FunctionLattice(block, pos_lat)
-        carriers.append(carrier)
-        body = make_phi_body(groups, preds, widths=widths)
-        equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
-    return RestrictedHes(HierEqSystem(equations), carriers, pos_lat.ground, root)
+    bit = {y: 1 << i for i, y in enumerate(y for block in partition for y in block)}
+    moves, _ = _moves(transitions, labels, bit, prios, priority)
+    return _system_from_moves(moves, len(labels), preds, root, partition, signs)
+
+
+def _cone_states(post, states, kinds, successors, x, root) -> list:
+    """The states of the cone of ``(x, root)``, in the order of ``states``:
+    the (state, position) pairs that ``(x, root)`` reaches over enabled
+    transitions.
+
+    ``post`` is the index of ``_moves`` over the bits of ``states``;
+    ``kinds[p]`` is the kind of position ``p`` (its symbol, or its
+    decorated label) and ``successors(p)`` lists its child positions.  The
+    walk carries the states at a position as a bitmask and memoises each
+    (states, kind) step.  It stops as soon as it has reached every state
+    that x reaches in the automaton's graph over ``post``, the bound on any
+    cone.
+    """
+    start = 1 << states.index(x)
+    bound, new = start, start
+    while new:
+        low = new & -new
+        new ^= low
+        for slots in post.get(states[low.bit_length() - 1], {}).values():
+            for m in slots:
+                new |= m & ~bound
+                bound |= m
+    memo: dict = {}
+    reached = {root: start}
+    seen = start
+    todo = [(root, start)]
+    while todo and seen != bound:
+        p, at = todo.pop()
+        kids = successors(p)
+        outs = memo.get((at, kinds[p]))
+        if outs is None:
+            outs = [0] * len(kids)
+            rest = at
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = post.get(states[low.bit_length() - 1], {})
+                for i, m in enumerate(row.get(kinds[p], ())):
+                    outs[i] |= m
+            memo[(at, kinds[p])] = outs
+        for q, out in zip(kids, outs):
+            fresh = out & ~reached.get(q, 0)
+            if fresh:
+                reached[q] = reached.get(q, 0) | fresh
+                seen |= fresh
+                todo.append((q, fresh))
+    return [y for i, y in enumerate(states) if (seen >> i) & 1]
 
 
 def _word_transitions(aut) -> list:
@@ -371,8 +468,9 @@ def _parity_blocks(aut, decorated: bool):
     return partition, [MU if i % 2 == 1 else NU for i in range(1, aut.two_n + 1)]
 
 
-def _compact_blocks(aut, decorated: bool):
+def _compact_blocks(aut, decorated: bool, states=None):
     """The system the membership functions solve: the defining system
+    over ``states`` (default: all of them, in the automaton's order)
     without its empty priority classes, with each maximal run of used
     priorities of equal parity merged into one equation.
 
@@ -384,14 +482,16 @@ def _compact_blocks(aut, decorated: bool):
     changes.  Returns the partition, its signs, and each state's 1-based
     equation index.
     """
-    partition: list[tuple] = []
+    prio = aut.priorities
+    blocks: list[list] = []
     signs: list[str] = []
-    for i in sorted(set(aut.priorities.values())):
-        sign = NU if decorated or i % 2 == 0 else MU
+    for y in sorted(aut.states if states is None else states, key=prio.__getitem__):
+        sign = NU if decorated or prio[y] % 2 == 0 else MU
         if not signs or signs[-1] != sign:
-            partition.append(())
+            blocks.append([])
             signs.append(sign)
-        partition[-1] += aut.priority_class(i)
+        blocks[-1].append(y)
+    partition = [tuple(block) for block in blocks]
     block_of = {x: k + 1 for k, block in enumerate(partition) for x in block}
     return partition, signs, block_of
 
@@ -422,8 +522,20 @@ def _lasso_generator(aut, w, decorated: bool):
     return labels, (preds,), 0, prios
 
 
-def _tree_generator(aut, t, decorated: bool):
-    """The node graph of a regular tree, nodes numbered in declaration order."""
+def _lasso_successors(w):
+    """A lasso's child map in closed form: ``p -> (p + 1,)``, and the last
+    position to the loop start."""
+    last, loop = w.n_positions - 1, (len(w.stem),)
+
+    def successors(p: int) -> tuple:
+        return (p + 1,) if p < last else loop
+
+    return successors
+
+
+def _tree_nodes(aut, t, decorated: bool):
+    """The node graph of a regular tree, nodes numbered in declaration
+    order: labels, child lists, root and (decorated) priorities."""
     nodes = t.node_ids()
     index = {n: i for i, n in enumerate(nodes)}
     labels, prios = _split_labels([t.label(n) for n in nodes], decorated)
@@ -436,31 +548,37 @@ def _tree_generator(aut, t, decorated: bool):
                 f"tree gives {len(t.children(n))} children"
             )
     children = tuple(tuple(index[c] for c in t.children(n)) for n in nodes)
-    return labels, predecessor_maps(children), index[t.root], prios
+    return labels, children, index[t.root], prios
 
 
-def _restrict(aut, input_obj, decorated: bool, partition, signs) -> RestrictedHes:
-    """Restrict the system given by ``partition`` and ``signs`` to the
-    pointed generator of a lasso or tree input."""
+def _tree_generator(aut, t, decorated: bool):
+    """The node graph of a regular tree, with predecessor maps read off its
+    child lists."""
+    labels, children, root, prios = _tree_nodes(aut, t, decorated)
+    return labels, predecessor_maps(children), root, prios
+
+
+def _generator(aut, input_obj, decorated: bool):
+    """The pointed generator of a lasso or tree input, as ``(transitions,
+    labels, preds, root, prios, successors)``: ``successors(p)`` lists the
+    child positions of ``p``."""
     if isinstance(aut, ParityWordAutomaton):
         if decorated and not isinstance(input_obj, DecoratedLassoWord):
             raise TypeError("decorated mode needs a DecoratedLassoWord")
         if not decorated and not isinstance(input_obj, LassoWord):
             raise TypeError("ordinary mode needs a LassoWord")
-        transitions = _word_transitions(aut)
         labels, preds, root, prios = _lasso_generator(aut, input_obj, decorated)
-    elif isinstance(aut, ParityTreeAutomaton):
+        successors = _lasso_successors(input_obj)
+        return _word_transitions(aut), labels, preds, root, prios, successors
+    if isinstance(aut, ParityTreeAutomaton):
         if decorated and not isinstance(input_obj, DecoratedRegularTreeRep):
             raise TypeError("decorated mode needs a DecoratedRegularTreeRep")
         if not decorated and not isinstance(input_obj, RegularTreeRep):
             raise TypeError("ordinary mode needs a RegularTreeRep")
-        transitions = aut.transitions
-        labels, preds, root, prios = _tree_generator(aut, input_obj, decorated)
-    else:
-        raise TypeError(f"cannot restrict {type(aut).__name__}")
-    return _restricted_system(
-        transitions, labels, preds, root, partition, signs, prios, aut.priorities
-    )
+        labels, children, root, prios = _tree_nodes(aut, input_obj, decorated)
+        preds = predecessor_maps(children)
+        return aut.transitions, labels, preds, root, prios, children.__getitem__
+    raise TypeError(f"cannot restrict {type(aut).__name__}")
 
 
 def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHes:
@@ -474,14 +592,28 @@ def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHe
     if mode not in ("ordinary", "decorated"):
         raise ValueError(f"mode must be 'ordinary' or 'decorated', got {mode!r}")
     decorated = mode == "decorated"
-    return _restrict(aut, input_obj, decorated, *_parity_blocks(aut, decorated))
+    transitions, labels, preds, root, prios, _ = _generator(aut, input_obj, decorated)
+    partition, signs = _parity_blocks(aut, decorated)
+    return _restricted_system(
+        transitions, labels, preds, root, partition, signs, prios, aut.priorities
+    )
 
 
 def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdict:
-    """Solve the compacted system of ``aut`` restricted to ``input_obj`` and
-    look the verdict up at ``x``'s equation."""
-    partition, signs, block_of = _compact_blocks(aut, decorated)
-    return _verdict(_restrict(aut, input_obj, decorated, partition, signs), x, block_of[x])
+    """Solve the compacted system of ``aut`` over the states of the cone of
+    ``(x, root)``, restricted to ``input_obj``, and look the verdict up at
+    ``x``'s equation.
+
+    The cone is closed under the dependencies of its pairs, so leaving out
+    the other states, and every move to them, changes no value on it."""
+    transitions, labels, preds, root, prios, successors = _generator(aut, input_obj, decorated)
+    bit = {y: 1 << i for i, y in enumerate(aut.states)}
+    moves, post = _moves(transitions, labels, bit, prios, aut.priorities)
+    kinds = labels if prios is None else tuple(zip(labels, prios))
+    cone = _cone_states(post, aut.states, kinds, successors, x, root)
+    partition, signs, block_of = _compact_blocks(aut, decorated, cone)
+    rh = _system_from_moves(moves, len(labels), preds, root, partition, signs)
+    return _verdict(rh, x, block_of[x])
 
 
 # ---------------------------------------------------------------------------

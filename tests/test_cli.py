@@ -105,12 +105,13 @@ class TestStats:
         path.write_text(serialize(appendix_automaton()))
         argv = ["member", str(path), "--state", "x", "--lasso", "a;bab", "--json"]
         outs = {run(capsys, argv) for _ in range(2)}
-        # priorities 1, 2, 3 compact to three one-state equations; the
-        # lasso has four positions
+        # state z is reachable only on c, so the cone of (x, a;bab) is {x, y}:
+        # priorities 1 and 2 give two one-state equations; the lasso has four
+        # positions
         assert outs == {(
             0,
-            '{"schema_version": 1, "stats": {"body_evals": 8, "iterations": [2, 0, 1], '
-            '"positions": 4, "widths": [1, 1, 1]}, "verdict": true}',
+            '{"schema_version": 1, "stats": {"body_evals": 4, "iterations": [2, 0], '
+            '"positions": 4, "widths": [1, 1]}, "verdict": true}',
             "",
         )}
 

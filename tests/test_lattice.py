@@ -47,6 +47,15 @@ class TestPowersetBasics:
         with pytest.raises(LatticeTooLargeError):
             list(big.elements())
 
+    def test_duplicate_ground_rejected_and_index_built_on_use(self):
+        with pytest.raises(ValueError):
+            PowersetLattice(("a", "a"))
+        lat = PowersetLattice(("b", "a"))
+        assert lat.index("a") == 1 and lat.singleton("b") == 1
+        assert lat.from_iterable("ab") == 0b11
+        positions = PowersetLattice(range(3))
+        assert positions.ground == (0, 1, 2) and positions.from_iterable([2]) == 0b100
+
     def test_enumeration_cap(self):
         big = PowersetLattice(range(12))
         with pytest.raises(LatticeTooLargeError):

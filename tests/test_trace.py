@@ -1,10 +1,12 @@
+import inspect
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from paritrace import trace
+from paritrace import graphutil, trace
+from paritrace import oracle as oracle_mod
 from paritrace.automata import (
     BuchiWordAutomaton,
     DeterministicExceptionAutomaton,
@@ -781,6 +783,189 @@ class TestCompaction:
             assert trace._compact_verdict(aut, x, xi, True).value == literal
             verdicts.append(literal)
         assert True in verdicts and False in verdicts
+
+
+def reference_cone(aut, x, inp) -> set:
+    """The states of the cone of ``(x, root)``, by search over (state,
+    position) pairs with the input's own child lists: a pair steps along
+    every transition its position's symbol enables, and a decorated
+    position admits only the states of its priority."""
+    if isinstance(inp, (LassoWord, DecoratedLassoWord)):
+        root, label, kids = 0, inp.letter, lambda p: (inp.next_pos(p),)
+    else:
+        root, label, kids = inp.root, inp.label, inp.children
+    decorated = isinstance(inp, (DecoratedLassoWord, DecoratedRegularTreeRep))
+    succ: dict = {}
+    for y, sym, ys in aut.transitions:
+        succ.setdefault((y, sym), []).append(ys if isinstance(ys, tuple) else (ys,))
+    seen = {(x, root)}
+    stack = [(x, root)]
+    while stack:
+        y, p = stack.pop()
+        sym = label(p)
+        if decorated:
+            sym, q = sym
+            if q != aut.priority(y):
+                continue
+        for ys in succ.get((y, sym), ()):
+            for pair in zip(ys, kids(p)):
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    return {y for y, _ in seen}
+
+
+def literal_verdict(aut, x, inp, mode="ordinary"):
+    rh = build_restricted_hes(aut, inp, mode)
+    return rh.member(rh.solve().assignment, x, aut.priority(x))
+
+
+def hidden_word_automaton(rng):
+    """A word automaton over a, b, c with sparse priorities whose states
+    ``h*`` are entered only on c."""
+    states = [f"s{i}" for i in range(rng.randint(1, 6))]
+    hidden = [f"h{i}" for i in range(rng.randint(1, 3))]
+    transitions = [
+        (x, a, y)
+        for x in states
+        for a in "ab"
+        for y in rng.sample(states, rng.randint(0, min(2, len(states))))
+    ]
+    transitions += [(x, "c", rng.choice(hidden)) for x in states if rng.random() < 0.6]
+    transitions += [(h, a, rng.choice(states + hidden)) for h in hidden for a in "abc"]
+    priorities = sparse_priorities(rng, states + hidden)
+    return ParityWordAutomaton(states + hidden, ("a", "b", "c"), transitions, priorities)
+
+
+def hidden_tree_automaton(rng, alphabet):
+    """A tree automaton with sparse priorities whose states ``h*`` are
+    entered only below an ``h`` node."""
+    states = [f"s{i}" for i in range(rng.randint(1, 5))]
+    hidden = [f"h{i}" for i in range(rng.randint(1, 3))]
+    transitions = []
+    for x in states + hidden:
+        for sym in alphabet.symbols:
+            targets = states + hidden if sym == "h" or x in hidden else states
+            for _ in range(rng.choice((1, 1, 2))):
+                transitions.append(
+                    (x, sym, tuple(rng.choice(targets) for _ in range(alphabet.arity(sym))))
+                )
+    priorities = sparse_priorities(rng, states + hidden)
+    return ParityTreeAutomaton(states + hidden, alphabet, transitions, priorities)
+
+
+class TestCone:
+    """Membership solves the compacted system over the states of the cone
+    of (x, root) only: the pairs that the input can drive a run into.  The
+    verdicts equal the literal system's and the oracles', and ``widths``
+    count exactly the cone's states."""
+
+    def test_appendix_cone_leaves_out_z(self):
+        # z is reachable only on c, which a;bab never reads
+        aut = appendix_automaton()
+        w = parse_lasso("a;bab")
+        assert reference_cone(aut, "x", w) == {"x", "y"}
+        v = parity_trace_membership(aut, "x", w)
+        assert v.value is True and literal_verdict(aut, "x", w) is True
+        assert v.stats.widths == (1, 1)
+        assert len(v.stats.iterations) == 2
+        assert len(trace._compact_blocks(aut, False)[0]) == 3
+        assert len(build_restricted_hes(aut, w).hes) == 4
+
+    def test_lassos_match_literal_system_and_product_graph(self):
+        rng = random.Random(808)
+        verdicts, smaller = [], 0
+        for i in range(400):
+            aut = hidden_word_automaton(rng)
+            x = rng.choice(aut.states)
+            w = random_lasso("ab" if i % 3 else "abc", 3, 4, rng)
+            cone = reference_cone(aut, x, w)
+            smaller += len(cone) < len(aut.states)
+            v = parity_trace_membership(aut, x, w)
+            oracle = lasso_acceptance(aut, x, w)
+            assert v.value == literal_verdict(aut, x, w) == oracle.value, (aut.priorities, x, w)
+            assert sum(v.stats.widths) == len(cone), (x, w)
+            if v.value:
+                xi = decorate_run(oracle.run, aut.priorities)
+                d = decorated_trace_membership(aut, x, xi)
+                assert d.value and d.stats.widths == (len(reference_cone(aut, x, xi)),)
+            verdicts.append(v.value)
+        assert True in verdicts and False in verdicts
+        assert smaller >= 200
+
+    def test_decorated_lassos_match_literal_system(self):
+        # arbitrary decorations, most of them unrealisable
+        rng = random.Random(809)
+        verdicts = []
+        for i in range(300):
+            aut = hidden_word_automaton(rng)
+            x = rng.choice(aut.states)
+            used = sorted(set(aut.priorities.values()))
+            plain = random_lasso("ab" if i % 3 else "abc", 2, 3, rng)
+            xi = DecoratedLassoWord(
+                tuple((a, rng.choice(used)) for a in plain.stem),
+                tuple((a, rng.choice(used)) for a in plain.cycle),
+            )
+            v = trace._compact_verdict(aut, x, xi, True)
+            assert v.value == literal_verdict(aut, x, xi, "decorated"), (x, xi)
+            assert v.stats.widths == (len(reference_cone(aut, x, xi)),)
+            verdicts.append(v.value)
+        assert True in verdicts and False in verdicts
+
+    def test_trees_match_literal_system_and_parity_game(self):
+        rng = random.Random(810)
+        alphabet = RankedAlphabet([("f", 2), ("g", 1), ("h", 2), ("c", 0)])
+        without_h = RankedAlphabet([("f", 2), ("g", 1), ("c", 0)])
+        verdicts, smaller = [], 0
+        for i in range(200):
+            aut = hidden_tree_automaton(rng, alphabet)
+            x = rng.choice(aut.states)
+            t = wide_tree(rng, rng.randint(3, 16), without_h if i % 3 else alphabet)
+            cone = reference_cone(aut, x, t)
+            smaller += len(cone) < len(aut.states)
+            v = tree_language_membership(aut, x, t)
+            oracle = tree_membership_oracle(aut, x, t)
+            assert v.value == literal_verdict(aut, x, t) == oracle.value, (aut.priorities, x)
+            assert sum(v.stats.widths) == len(cone), x
+            used = sorted(set(aut.priorities.values()))
+            xi = DecoratedRegularTreeRep(
+                {n: ((t.label(n), rng.choice(used)), t.children(n)) for n in t.node_ids()},
+                t.root,
+            )
+            d = trace._compact_verdict(aut, x, xi, True)
+            assert d.value == literal_verdict(aut, x, xi, "decorated"), x
+            assert d.stats.widths == (len(reference_cone(aut, x, xi)),)
+            verdicts.append(v.value)
+        assert True in verdicts and False in verdicts
+        assert smaller >= 100
+
+    def test_routes_call_no_oracle_or_graph_code(self, monkeypatch):
+        aut = appendix_automaton()
+        w = parse_lasso("a;bab")
+        xi = decorate_run(lasso_acceptance(aut, "x", w).run, aut.priorities)
+        alph = RankedAlphabet([("f", 2), ("c", 0)])
+        tree_aut = ParityTreeAutomaton(
+            ("x", "y", "z"),
+            alph,
+            [("x", "f", ("y", "y")), ("y", "c", ()), ("z", "f", ("z", "z"))],
+            {"x": 2, "y": 2, "z": 1},
+        )
+        t = RegularTreeRep({"n0": ("f", ("n1", "n1")), "n1": ("c", ())}, "n0")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine must not call the oracles or graphutil")
+
+        monkeypatch.setattr(oracle_mod, "lasso_acceptance", refuse)
+        monkeypatch.setattr(oracle_mod, "tree_membership_oracle", refuse)
+        patched = 0
+        for name, fn in vars(graphutil).items():
+            if inspect.isfunction(fn) and fn.__module__ == graphutil.__name__:
+                monkeypatch.setattr(graphutil, name, refuse)
+                patched += 1
+        assert patched >= 5
+        assert parity_trace_membership(aut, "x", w).value
+        assert decorated_trace_membership(aut, "x", xi).value
+        assert tree_language_membership(tree_aut, "x", t).value
 
 
 def pre(maps, s):
