@@ -116,18 +116,15 @@ def _non_negative_int(text: str) -> int:
 def _cmd_solve_hes(args) -> int:
     system = hes_mod.parse_hes_text(_read(args.file))
     sol = hes_mod.solve(system)
-    if args.json:
-        doc = {
-            "schema_version": 1,
-            "solution": {
-                var: sorted(system.powerset.to_set(val))
-                for var, val in zip(sol.variables, sol.assignment)
-            },
-            "iterations": list(sol.iterations),
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(system.format_solution(sol))
+    doc = {
+        "schema_version": 1,
+        "solution": {
+            var: sorted(system.powerset.to_set(val))
+            for var, val in zip(sol.variables, sol.assignment)
+        },
+        "iterations": list(sol.iterations),
+    }
+    _emit(args, system.format_solution(sol), doc)
     return 0
 
 
@@ -253,19 +250,13 @@ def _cmd_fuzz(args) -> int:
     else:
         cfg = harness_mod.CampaignConfig(trials=args.trials or 100)
     report = harness_mod.campaign(cfg, args.seed)
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(report.summary())
+    _emit(args, report.summary(), report.to_json())
     return 0 if report.ok else DISAGREE_EXIT
 
 
 def _cmd_pinned(args) -> int:
     report = harness_mod.pinned_suite()
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        print(report.summary())
+    _emit(args, report.summary(), report.to_json())
     return 0 if report.ok else DISAGREE_EXIT
 
 

@@ -287,10 +287,10 @@ def _prop_buchi_as_parity(cfg: CampaignConfig, seed: int, index: int) -> str | N
     state = rng.choice(baut.states)
     lasso = random_lasso(baut.alphabet, cfg.max_stem, cfg.max_cycle, rng)
     via_buchi = buchi_trace_membership(baut, state, lasso).value
-    via_parity = parity_trace_membership(buchi_to_parity(baut), state, lasso).value
-    if via_buchi != via_parity:
+    via_oracle = lasso_acceptance(buchi_to_parity(baut), state, lasso).value
+    if via_buchi != via_oracle:
         return (
-            f"buchi={via_buchi} parity={via_parity} state={state} lasso={lasso} on\n"
+            f"buchi={via_buchi} oracle={via_oracle} state={state} lasso={lasso} on\n"
             + serialize(baut)
         )
     return None

@@ -154,9 +154,6 @@ class GameSolution:
     exists_strategy: dict
     forall_strategy: dict
 
-    def winner(self, v) -> int:
-        return EXISTS if v in self.exists_region else FORALL
-
 
 def _attract(
     player: int, base: set, live: set, owner, succ, pred

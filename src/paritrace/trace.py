@@ -6,18 +6,21 @@ input: the carrier of the equation for priority class i becomes the finite
 map lattice (states of priority i) -> (sets of input positions), where a
 position is a node of the input's pointed generator: a suffix class of a
 lasso, a node of a tree generator, or a letter (or the end marker) of a
-finite word.  One builder, ``_restricted_system``, serves every input kind;
-its bodies compute the sets of all positions of an equation at once, on
-bitmasks, from symbol masks and predecessor shift maps.
+finite word.  One builder, ``_moves`` then ``_system_from_moves``, serves
+every input kind; its bodies compute the sets of all positions of an
+equation at once, on bitmasks, from label masks and predecessor shift maps.
 Equation bodies act position-locally, so the restriction is closed under
 them; its adequacy is enforced empirically by the differential oracle
 suite rather than proven.
 
 Ordinary semantics alternates signs (mu on odd priority classes, nu on
-even ones); the decorated semantics is the all-nu system whose bodies also
-pin the input's priorities against the automaton's, and whose positive
-answers mean "some run realises exactly this decoration".  The membership
-functions solve both at the automaton's alternation depth, over the states
+even ones); the decorated semantics is the all-nu system over the input's
+``(symbol, priority)`` labels and the transitions relabelled with their
+source's priority, whose positive answers mean "some run realises exactly
+this decoration".  Büchi membership and run existence are parity
+membership of an encoding (``buchi_to_parity``, every state at priority
+2).  Every omega-input membership question is solved by
+``_compact_verdict``, at the automaton's alternation depth, over the states
 of the root's cone only: the cone of (x, root) is the set of (state,
 position) pairs that it reaches over enabled transitions
 (``_cone_states``), the other states are left out, then empty classes are
@@ -37,6 +40,7 @@ from .automata import (
     DeterministicExceptionAutomaton,
     ParityTreeAutomaton,
     ParityWordAutomaton,
+    buchi_to_parity,
 )
 from .hes import Equation, HierEqSystem
 from .lattice import (
@@ -160,8 +164,8 @@ class RestrictedHes:
     run from x into, one block per maximal run of their priorities of equal
     parity (one block in decorated mode), and a transition to a state
     outside the cone is left out.  ``positions`` is every position of the
-    generator either way.  The Büchi and run-existence systems have
-    partitions of their own over all states.
+    generator either way.  The finite-trace system is one mu-equation over
+    all states.
     """
 
     def __init__(self, hes, carriers, positions, start):
@@ -181,15 +185,6 @@ class RestrictedHes:
 
     def solve(self, **kwargs) -> hes_mod.Solution:
         return hes_mod.solve(self.hes, **kwargs)
-
-
-def _verdict(rh: RestrictedHes, x: str, block: int) -> MembershipVerdict:
-    """Solve ``rh`` and ask whether the input lies in ``x``'s variable."""
-    sol = rh.solve()
-    value = rh.member(sol.assignment, x, block)
-    widths = tuple(len(c.domain) for c in rh.carriers)
-    stats = SolveStats(sol.iterations, sol.body_evals, len(rh.positions), widths)
-    return MembershipVerdict(value, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -319,40 +314,36 @@ def make_phi_body(
     return body
 
 
-def _moves(transitions, labels, bit, prios=None, priority=None):
-    """Group ``(state, symbol, successors)`` triples in one pass.
+def _moves(transitions, labels, states):
+    """Group ``(state, label, successors)`` triples in one pass.
 
-    Position ``p`` enables the transitions on its symbol ``labels[p]``; in
-    decorated mode ``prios`` gives each position's priority and
-    ``priority`` each state's, and state x admits position p only when
-    ``prios[p] == priority[x]``.  ``bit[y]`` is state y's bit in a set of
-    states.  The transitions enabled somewhere come back in two indexes:
+    Position ``p`` enables the transitions on its label ``labels[p]``.  A
+    decorated input comes with its transitions relabelled (see
+    ``_generator``), so its labels are ``(symbol, priority)`` pairs and
+    state x admits only the positions of its own priority.  A set of states
+    is a bitmask over ``states``.  The transitions enabled somewhere come
+    back in two indexes:
 
     - ``moves[x][ys]``: the set of positions where some transition of
       state ``x`` to the successor tuple ``ys`` is enabled, as a bitmask;
-    - ``post[x][kind][i]``: the set of i-th successors of the transitions
-      of ``x`` enabled at the positions of one kind, those of one symbol
-      (in decorated mode, of one symbol and one priority), as a bitmask.
+    - ``post[x][label][i]``: the set of i-th successors of the transitions
+      of ``x`` enabled at the positions of one label, as a bitmask.
     """
-    sym_masks = _masks_by_value(labels)
-    prio_masks = None if prios is None else _masks_by_value(prios)
+    bit = {y: 1 << i for i, y in enumerate(states)}
+    label_masks = _masks_by_value(labels)
     moves: dict = {}
     post: dict = {}
-    for x, sym, ys in transitions:
-        mask = sym_masks.get(sym, 0)
-        kind = sym
-        if prio_masks is not None:
-            mask &= prio_masks.get(priority[x], 0)
-            kind = (sym, priority[x])
+    for x, label, ys in transitions:
+        mask = label_masks.get(label, 0)
         if mask:
             row = moves.get(x)
             if row is None:
                 row = moves[x] = {}
                 post[x] = {}
             row[ys] = row.get(ys, 0) | mask
-            slots = post[x].get(kind)
+            slots = post[x].get(label)
             if slots is None:
-                slots = post[x][kind] = [0] * len(ys)
+                slots = post[x][label] = [0] * len(ys)
             for i, y in enumerate(ys):
                 slots[i] |= bit[y]
     return moves, post
@@ -361,7 +352,9 @@ def _moves(transitions, labels, bit, prios=None, priority=None):
 def _system_from_moves(moves, n, preds, root, partition, signs) -> RestrictedHes:
     """The restricted system over ``n`` positions whose equation k ranges
     over the states of ``partition[k]``, with the grouped ``moves`` of
-    ``_moves``.  A move to a state outside the partition is left out."""
+    ``_moves``.  A move to a state outside the partition is left out.
+    ``preds`` are the generator's predecessor maps, in the form of
+    ``predecessor_maps``, and ``root`` its start position."""
     pos_lat = PowersetLattice(range(n))
     slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
     widths = tuple(len(block) for block in partition)
@@ -383,41 +376,17 @@ def _system_from_moves(moves, n, preds, root, partition, signs) -> RestrictedHes
     return RestrictedHes(HierEqSystem(equations), carriers, pos_lat.ground, root)
 
 
-def _restricted_system(
-    transitions, labels, preds, root, partition, signs, prios=None, priority=None
-):
-    """Restrict the equation system given by ``partition`` and ``signs`` to
-    the pointed generator ``(labels, preds, root)``.
-
-    Position ``p`` (``0 .. len(labels) - 1``) carries the symbol
-    ``labels[p]``; ``preds`` are the generator's own predecessor maps, in
-    the form of ``predecessor_maps``.  ``transitions`` are ``(state, symbol,
-    successors)`` triples, whose i-th successor must hold at child slot i.
-    Equation k ranges over the states of ``partition[k]``.  In decorated
-    mode ``prios`` gives each position's priority and ``priority`` each
-    state's, and state x admits position p only when
-    ``prios[p] == priority[x]``, whatever the partition.
-
-    The symbol and priority masks are built here once, and one pass over
-    the transitions groups them by (state, successor tuple).
-    """
-    bit = {y: 1 << i for i, y in enumerate(y for block in partition for y in block)}
-    moves, _ = _moves(transitions, labels, bit, prios, priority)
-    return _system_from_moves(moves, len(labels), preds, root, partition, signs)
-
-
-def _cone_states(post, states, kinds, successors, x, root) -> list:
+def _cone_states(post, states, labels, successors, x, root) -> list:
     """The states of the cone of ``(x, root)``, in the order of ``states``:
     the (state, position) pairs that ``(x, root)`` reaches over enabled
     transitions.
 
     ``post`` is the index of ``_moves`` over the bits of ``states``;
-    ``kinds[p]`` is the kind of position ``p`` (its symbol, or its
-    decorated label) and ``successors(p)`` lists its child positions.  The
-    walk carries the states at a position as a bitmask and memoises each
-    (states, kind) step.  It stops as soon as it has reached every state
-    that x reaches in the automaton's graph over ``post``, the bound on any
-    cone.
+    ``labels[p]`` is the label of position ``p`` and ``successors(p)``
+    lists its child positions.  The walk carries the states at a position
+    as a bitmask and memoises each (states, label) step.  It stops as soon
+    as it has reached every state that x reaches in the automaton's graph
+    over ``post``, the bound on any cone.
     """
     start = 1 << states.index(x)
     bound, new = start, start
@@ -435,7 +404,7 @@ def _cone_states(post, states, kinds, successors, x, root) -> list:
     while todo and seen != bound:
         p, at = todo.pop()
         kids = successors(p)
-        outs = memo.get((at, kinds[p]))
+        outs = memo.get((at, labels[p]))
         if outs is None:
             outs = [0] * len(kids)
             rest = at
@@ -443,9 +412,9 @@ def _cone_states(post, states, kinds, successors, x, root) -> list:
                 low = rest & -rest
                 rest ^= low
                 row = post.get(states[low.bit_length() - 1], {})
-                for i, m in enumerate(row.get(kinds[p], ())):
+                for i, m in enumerate(row.get(labels[p], ())):
                     outs[i] |= m
-            memo[(at, kinds[p])] = outs
+            memo[(at, labels[p])] = outs
         for q, out in zip(kids, outs):
             fresh = out & ~reached.get(q, 0)
             if fresh:
@@ -496,14 +465,7 @@ def _compact_blocks(aut, decorated: bool, states=None):
     return partition, signs, block_of
 
 
-def _split_labels(labels, decorated: bool):
-    """Separate decorated ``(symbol, priority)`` labels into two tuples."""
-    if not decorated:
-        return tuple(labels), None
-    return tuple(sym for sym, _ in labels), tuple(q for _, q in labels)
-
-
-def _lasso_generator(aut, w, decorated: bool):
+def _lasso_generator(aut, w):
     """The unary generator of a lasso, with its predecessor map in closed
     form.  Position p carries letter p of ``stem + cycle`` and has the one
     child ``p + 1``, except that the last position wraps to the loop start
@@ -511,15 +473,16 @@ def _lasso_generator(aut, w, decorated: bool):
     positions ``0 .. n - 2``, and at position ``n - 1`` a left shift by
     ``n - 1 - len(stem)`` (a right shift by 0 when the cycle has length 1).
     """
-    labels, prios = _split_labels((*w.stem, *w.cycle), decorated)
-    missing = set(labels) - set(aut.alphabet)
+    labels = (*w.stem, *w.cycle)
+    symbols = {a for a, _ in labels} if isinstance(w, DecoratedLassoWord) else set(labels)
+    missing = symbols - set(aut.alphabet)
     if missing:
         raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
     n, wrap = len(labels), len(labels) - 1 - len(w.stem)
     last = 1 << (n - 1)
     step = ((1, last - 1),) if n > 1 else ()
     preds = (step + ((0, last),), ()) if wrap == 0 else (step, ((wrap, last),))
-    return labels, (preds,), 0, prios
+    return labels, (preds,), 0
 
 
 def _lasso_successors(w):
@@ -533,13 +496,15 @@ def _lasso_successors(w):
     return successors
 
 
-def _tree_nodes(aut, t, decorated: bool):
+def _tree_nodes(aut, t):
     """The node graph of a regular tree, nodes numbered in declaration
-    order: labels, child lists, root and (decorated) priorities."""
+    order: labels, child lists and root."""
     nodes = t.node_ids()
     index = {n: i for i, n in enumerate(nodes)}
-    labels, prios = _split_labels([t.label(n) for n in nodes], decorated)
-    for n, sym in zip(nodes, labels):
+    decorated = isinstance(t, DecoratedRegularTreeRep)
+    labels = tuple([t.label(n) for n in nodes])
+    for n, label in zip(nodes, labels):
+        sym = label[0] if decorated else label
         if sym not in aut.alphabet:
             raise AlphabetMismatchError(f"tree symbol {sym!r} not in automaton alphabet")
         if aut.alphabet.arity(sym) != len(t.children(n)):
@@ -548,37 +513,39 @@ def _tree_nodes(aut, t, decorated: bool):
                 f"tree gives {len(t.children(n))} children"
             )
     children = tuple(tuple(index[c] for c in t.children(n)) for n in nodes)
-    return labels, children, index[t.root], prios
-
-
-def _tree_generator(aut, t, decorated: bool):
-    """The node graph of a regular tree, with predecessor maps read off its
-    child lists."""
-    labels, children, root, prios = _tree_nodes(aut, t, decorated)
-    return labels, predecessor_maps(children), root, prios
+    return labels, children, index[t.root]
 
 
 def _generator(aut, input_obj, decorated: bool):
     """The pointed generator of a lasso or tree input, as ``(transitions,
-    labels, preds, root, prios, successors)``: ``successors(p)`` lists the
-    child positions of ``p``."""
+    labels, preds, root, successors)``: ``successors(p)`` lists the child
+    positions of ``p``.
+
+    A decorated input keeps its ``(symbol, priority)`` labels, and each
+    transition ``(x, a, ys)`` becomes ``(x, (a, priority(x)), ys)``, so
+    state x admits exactly the positions of its own priority."""
     if isinstance(aut, ParityWordAutomaton):
         if decorated and not isinstance(input_obj, DecoratedLassoWord):
             raise TypeError("decorated mode needs a DecoratedLassoWord")
         if not decorated and not isinstance(input_obj, LassoWord):
             raise TypeError("ordinary mode needs a LassoWord")
-        labels, preds, root, prios = _lasso_generator(aut, input_obj, decorated)
+        labels, preds, root = _lasso_generator(aut, input_obj)
+        transitions = _word_transitions(aut)
         successors = _lasso_successors(input_obj)
-        return _word_transitions(aut), labels, preds, root, prios, successors
-    if isinstance(aut, ParityTreeAutomaton):
+    elif isinstance(aut, ParityTreeAutomaton):
         if decorated and not isinstance(input_obj, DecoratedRegularTreeRep):
             raise TypeError("decorated mode needs a DecoratedRegularTreeRep")
         if not decorated and not isinstance(input_obj, RegularTreeRep):
             raise TypeError("ordinary mode needs a RegularTreeRep")
-        labels, children, root, prios = _tree_nodes(aut, input_obj, decorated)
-        preds = predecessor_maps(children)
-        return aut.transitions, labels, preds, root, prios, children.__getitem__
-    raise TypeError(f"cannot restrict {type(aut).__name__}")
+        labels, children, root = _tree_nodes(aut, input_obj)
+        transitions, preds = aut.transitions, predecessor_maps(children)
+        successors = children.__getitem__
+    else:
+        raise TypeError(f"cannot restrict {type(aut).__name__}")
+    if decorated:
+        prio = aut.priorities
+        transitions = [(x, (a, prio[x]), ys) for x, a, ys in transitions]
+    return transitions, labels, preds, root, successors
 
 
 def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHes:
@@ -592,28 +559,28 @@ def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHe
     if mode not in ("ordinary", "decorated"):
         raise ValueError(f"mode must be 'ordinary' or 'decorated', got {mode!r}")
     decorated = mode == "decorated"
-    transitions, labels, preds, root, prios, _ = _generator(aut, input_obj, decorated)
+    transitions, labels, preds, root, _ = _generator(aut, input_obj, decorated)
     partition, signs = _parity_blocks(aut, decorated)
-    return _restricted_system(
-        transitions, labels, preds, root, partition, signs, prios, aut.priorities
-    )
+    moves, _ = _moves(transitions, labels, aut.states)
+    return _system_from_moves(moves, len(labels), preds, root, partition, signs)
 
 
 def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdict:
     """Solve the compacted system of ``aut`` over the states of the cone of
-    ``(x, root)``, restricted to ``input_obj``, and look the verdict up at
-    ``x``'s equation.
+    ``(x, root)``, restricted to ``input_obj``, and ask whether the input
+    lies in ``x``'s variable.
 
     The cone is closed under the dependencies of its pairs, so leaving out
     the other states, and every move to them, changes no value on it."""
-    transitions, labels, preds, root, prios, successors = _generator(aut, input_obj, decorated)
-    bit = {y: 1 << i for i, y in enumerate(aut.states)}
-    moves, post = _moves(transitions, labels, bit, prios, aut.priorities)
-    kinds = labels if prios is None else tuple(zip(labels, prios))
-    cone = _cone_states(post, aut.states, kinds, successors, x, root)
+    transitions, labels, preds, root, successors = _generator(aut, input_obj, decorated)
+    moves, post = _moves(transitions, labels, aut.states)
+    cone = _cone_states(post, aut.states, labels, successors, x, root)
     partition, signs, block_of = _compact_blocks(aut, decorated, cone)
     rh = _system_from_moves(moves, len(labels), preds, root, partition, signs)
-    return _verdict(rh, x, block_of[x])
+    sol = rh.solve()
+    widths = tuple(len(block) for block in partition)
+    stats = SolveStats(sol.iterations, sol.body_evals, len(labels), widths)
+    return MembershipVerdict(rh.member(sol.assignment, x, block_of[x]), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -636,19 +603,10 @@ def parity_trace_membership(
 def buchi_trace_membership(
     aut: BuchiWordAutomaton, x: str, w: LassoWord
 ) -> MembershipVerdict:
-    """Membership for an automaton given by its accepting set.
-
-    Builds the two-block system directly from the accepting partition
-    (non-accepting states under mu, accepting under nu).
-    """
+    """Membership for an automaton given by its accepting set: parity
+    membership of its two-priority encoding."""
     _require_state(aut, x)
-    partition = [
-        tuple(s for s in aut.states if s not in aut.accepting),
-        tuple(s for s in aut.states if s in aut.accepting),
-    ]
-    labels, preds, root, _ = _lasso_generator(aut, w, False)
-    rh = _restricted_system(_word_transitions(aut), labels, preds, root, partition, [MU, NU])
-    return _verdict(rh, x, 2 if x in aut.accepting else 1)
+    return _compact_verdict(buchi_to_parity(aut), x, w, False)
 
 
 def decorated_trace_membership(aut, x: str, xi) -> MembershipVerdict:
@@ -689,9 +647,9 @@ def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> Restrict
     positions carry ``✓``: one mu-equation over all states, where every
     final state has a nullary ``✓`` transition."""
     transitions = _word_transitions(aut) + [(y, _TICK, ()) for y in aut.final]
-    return _restricted_system(
-        transitions, labels, predecessor_maps(children), 0, [aut.states], [MU]
-    )
+    moves, _ = _moves(transitions, labels, aut.states)
+    preds = predecessor_maps(children)
+    return _system_from_moves(moves, len(labels), preds, 0, [aut.states], [MU])
 
 
 def finite_trace_membership(aut: ParityWordAutomaton, x: str, word) -> bool:
@@ -750,13 +708,14 @@ def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozense
 def infinitary_trace_membership(aut: ParityWordAutomaton, x: str, w: LassoWord) -> bool:
     """Does any infinite run over the lasso exist from x (acceptance ignored)?
 
-    A single nu-equation over all states.
+    Parity membership of the copy of ``aut`` with every state at priority
+    2, in which every infinite run is accepting.
     """
     _require_state(aut, x)
-    labels, preds, root, _ = _lasso_generator(aut, w, False)
-    rh = _restricted_system(_word_transitions(aut), labels, preds, root, [aut.states], [NU])
-    sol = rh.solve()
-    return rh.member(sol.assignment, x, 1)
+    every_run = ParityWordAutomaton(
+        aut.states, aut.alphabet, aut.transitions, dict.fromkeys(aut.states, 2)
+    )
+    return _compact_verdict(every_run, x, w, False).value
 
 
 def det_exception_behavior(aut: DeterministicExceptionAutomaton, x: str):

@@ -3,10 +3,11 @@
 It evaluates one (state, position) cell at a time: position ``p`` enters
 the set of state ``x`` when some transition of ``x`` on ``p``'s symbol has
 the slot bit of every successor set at the matching child of ``p``, and,
-in decorated mode, ``p``'s priority equals ``x``'s.  Its arguments are
-those of ``trace._restricted_system``, except that the generator is given
-by its child lists rather than its predecessor maps; it returns one body
-per equation.
+in decorated mode, ``p``'s priority equals ``x``'s.  It takes the
+original transitions and symbols, with the priorities of positions and
+states apart, where the engine relabels them; the generator is given by
+its child lists rather than its predecessor maps.  It returns one body per
+equation.
 """
 
 

@@ -33,11 +33,18 @@ def _decorate(letters, rng, two_n):
 
 
 def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
-    """The arguments ``trace._restricted_system`` receives for one seeded
-    input of ``kind``, ``(transitions, labels, preds, root, partition,
-    signs, prios, priority)``, where ``preds`` are the generator's own
-    predecessor maps, followed by the child lists the per-cell reference
-    uses, built independently from ``next_pos`` or ``t.children``.
+    """The builder's arguments for one seeded input of ``kind``, and the
+    per-cell reference's.
+
+    The builder gets ``(transitions, labels, preds, root, partition,
+    signs)``: ``trace._moves`` groups the transitions over the labels, and
+    ``trace._system_from_moves`` builds the system over the generator's own
+    predecessor maps ``preds``.  A decorated kind passes the relabelled
+    transitions and the ``(symbol, priority)`` labels of ``trace._generator``.
+    The reference gets ``(transitions, labels, children, prios, priority)``:
+    the original transitions and symbols, child lists built independently
+    from ``next_pos`` or ``t.children``, and, for a decorated kind, the
+    priorities of positions and states, which it compares per cell.
     ``blocks(aut, decorated)`` gives the partition and signs of the parity
     kinds: the literal ``_parity_blocks`` or the compacted
     ``_compact_blocks``."""
@@ -53,12 +60,12 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
                 {n: ((t.label(n), rng.randint(1, 4)), t.children(n)) for n in t.node_ids()},
                 t.root,
             )
-        labels, preds, root, prios = trace._tree_generator(aut, t, decorated)
+        transitions, labels, preds, root, _ = trace._generator(aut, t, decorated)
         partition, signs = blocks(aut, decorated)[:2]
         index = {n: i for i, n in enumerate(t.node_ids())}
         children = tuple(tuple(index[c] for c in t.children(n)) for n in t.node_ids())
-        args = aut.transitions, labels, preds, root, partition, signs, prios, aut.priorities
-        return args, children
+        args = transitions, labels, preds, root, partition, signs
+        return args, _reference_args(aut.transitions, labels, children, aut, decorated)
     params = WordGenParams(n_states=rng.randint(2, 6), n_letters=2, two_n=4, density=0.35)
     if kind == "buchi":
         aut = random_buchi_automaton(params, seed)
@@ -69,20 +76,23 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
         word = tuple(rng.choice(aut.alphabet) for _ in range(rng.randint(0, 30)))
         for y in rng.sample(aut.states, rng.randint(0, len(aut.states))):
             transitions.append((y, trace._TICK, ()))
+        labels = word + (trace._TICK,)
         children = tuple((p + 1,) for p in range(len(word))) + ((),)
         preds = trace.predecessor_maps(children)
-        return (transitions, word + (trace._TICK,), preds, 0, [aut.states], [MU], None, None), children
+        args = transitions, labels, preds, 0, [aut.states], [MU]
+        return args, (transitions, labels, children, None, None)
     w = random_lasso(aut.alphabet, 15, 25, rng)
     children = tuple((w.next_pos(p),) for p in range(w.n_positions))
-    if kind == "decorated-lasso":
-        xi = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
-        labels, preds, root, prios = trace._lasso_generator(aut, xi, True)
-        partition, signs = blocks(aut, True)[:2]
-        return (transitions, labels, preds, root, partition, signs, prios, aut.priorities), children
-    labels, preds, root, _ = trace._lasso_generator(aut, w, False)
-    if kind == "lasso":
-        partition, signs = blocks(aut, False)[:2]
-    elif kind == "buchi":
+    if kind in ("lasso", "decorated-lasso"):
+        decorated = kind == "decorated-lasso"
+        if decorated:
+            w = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
+        relabelled, labels, preds, root, _ = trace._generator(aut, w, decorated)
+        partition, signs = blocks(aut, decorated)[:2]
+        args = relabelled, labels, preds, root, partition, signs
+        return args, _reference_args(transitions, labels, children, aut, decorated)
+    labels, preds, root = trace._lasso_generator(aut, w)
+    if kind == "buchi":
         partition = [
             tuple(s for s in aut.states if s not in aut.accepting),
             tuple(s for s in aut.states if s in aut.accepting),
@@ -90,7 +100,18 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
         signs = [MU, NU]
     else:
         partition, signs = [aut.states], [NU]
-    return (transitions, labels, preds, root, partition, signs, None, None), children
+    args = transitions, labels, preds, root, partition, signs
+    return args, (transitions, labels, children, None, None)
+
+
+def _reference_args(transitions, labels, children, aut, decorated):
+    """The per-cell reference's arguments: in decorated mode the symbols
+    and priorities of the pair labels, and the states' priorities."""
+    if not decorated:
+        return transitions, labels, children, None, None
+    symbols = tuple(sym for sym, _ in labels)
+    prios = tuple(q for _, q in labels)
+    return transitions, symbols, children, prios, aut.priorities
 
 
 def random_value(n_positions, rng):
@@ -112,10 +133,15 @@ def random_value(n_positions, rng):
 def check_against_cells(kind, rng, blocks=trace._parity_blocks):
     checked = nonempty = 0
     for seed in range(60):
-        args, children = generator_args(kind, seed, rng, blocks)
-        transitions, labels, _preds, _root, partition, _signs, prios, priority = args
-        rh = trace._restricted_system(*args)
-        reference = cell_bodies(transitions, labels, children, partition, prios, priority)
+        args, (ref_transitions, ref_labels, children, prios, priority) = generator_args(
+            kind, seed, rng, blocks
+        )
+        transitions, labels, preds, root, partition, signs = args
+        moves, _ = trace._moves(transitions, labels, [y for block in partition for y in block])
+        rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+        reference = cell_bodies(
+            ref_transitions, ref_labels, children, partition, prios, priority
+        )
         n = len(labels)
         for _ in range(8):
             assign = tuple(

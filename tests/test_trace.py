@@ -162,16 +162,19 @@ class TestBuchiMembership:
         from paritrace.automata import random_buchi_automaton
 
         rng = random.Random(2)
+        seen = set()
         for seed in range(50):
             baut = random_buchi_automaton(
                 WordGenParams(n_states=4, n_letters=2, density=0.4), seed
             )
             x = rng.choice(baut.states)
             w = random_lasso(baut.alphabet, 2, 3, rng)
-            assert (
-                buchi_trace_membership(baut, x, w).value
-                == parity_trace_membership(buchi_to_parity(baut), x, w).value
-            )
+            encoded = buchi_to_parity(baut)
+            verdict = buchi_trace_membership(baut, x, w).value
+            assert verdict == parity_trace_membership(encoded, x, w).value
+            assert verdict == lasso_acceptance(encoded, x, w).value
+            seen.add(verdict)
+        assert seen == {True, False}
 
 
 class TestDecoratedMembership:
@@ -298,6 +301,53 @@ class TestInfinitary:
             w = random_lasso(aut.alphabet, 2, 3, rng)
             if parity_trace_membership(aut, x, w).value:
                 assert infinitary_trace_membership(aut, x, w)
+
+    @staticmethod
+    def run_exists(aut, x, w) -> bool:
+        """Some vertex reachable from (x, 0) in the (state, position)
+        product graph lies on a cycle: a depth-first search from (x, 0)
+        meets a vertex still on its stack."""
+        def successors(v):
+            y, p = v
+            return [(z, w.next_pos(p)) for z in aut.successors(y, w.letter(p))]
+
+        on_stack, done = {(x, 0)}, set()
+        stack = [((x, 0), iter(successors((x, 0))))]
+        while stack:
+            v, kids = stack[-1]
+            for u in kids:
+                if u in on_stack:
+                    return True
+                if u not in done:
+                    on_stack.add(u)
+                    stack.append((u, iter(successors(u))))
+                    break
+            else:
+                stack.pop()
+                on_stack.discard(v)
+                done.add(v)
+        return False
+
+    def test_matches_product_graph_with_deadlocks(self):
+        rng = random.Random("run-existence")
+        counts = {True: 0, False: 0}
+        for seed in range(600):
+            base = random_word_automaton(
+                WordGenParams(n_states=rng.randint(2, 6), n_letters=2, density=0.3), seed
+            )
+            stuck = set(rng.sample(base.states, rng.randint(0, len(base.states) - 1)))
+            aut = ParityWordAutomaton(
+                base.states,
+                base.alphabet,
+                [t for t in base.transitions if t[0] not in stuck],
+                base.priorities,
+            )
+            x = rng.choice(aut.states)
+            w = random_lasso(aut.alphabet, 4, 4, rng)
+            verdict = infinitary_trace_membership(aut, x, w)
+            assert verdict == self.run_exists(aut, x, w), (seed, x, w)
+            counts[verdict] += 1
+        assert min(counts.values()) >= 100, counts
 
 
 def word_det(delta, priorities):
@@ -449,10 +499,13 @@ LITERAL_KINDS = {
 
 
 def _solve_counter_case(case) -> dict:
-    """The recorded route: the literal system for lassos and trees, the
-    membership function for every other kind."""
+    """The recorded route: the literal system for lassos and trees, and for
+    Büchi automata that of their parity encoding; the membership function
+    for every other kind."""
     aut = parse(case["automaton"])
     x, text, kind = case["state"], case["input"], case["kind"]
+    if kind == "buchi":
+        aut, kind = buchi_to_parity(aut), "lasso"
     if kind == "infinitary":
         return {"verdict": infinitary_trace_membership(aut, x, parse_lasso(text))}
     if kind == "finite":
@@ -467,12 +520,7 @@ def _solve_counter_case(case) -> dict:
             "iterations": list(sol.iterations),
             "body_evals": sol.body_evals,
         }
-    v = _membership_case(case)
-    return {
-        "verdict": v.value,
-        "iterations": list(v.stats.iterations),
-        "body_evals": v.stats.body_evals,
-    }
+    raise AssertionError(f"unknown case kind {kind!r}")
 
 
 def _membership_case(case):
@@ -1009,14 +1057,12 @@ class TestLassoPredecessorMaps:
     @pytest.mark.parametrize("i", range(len(LASSOS) + 1))
     def test_closed_form_equals_child_lists(self, i):
         w = self.LASSOS[i] if i < len(self.LASSOS) else self.long_lasso()
-        decorated = isinstance(w, DecoratedLassoWord)
         aut = intro_automaton()
-        labels, preds, root, prios = trace._lasso_generator(aut, w, decorated)
+        labels, preds, root = trace._lasso_generator(aut, w)
         n = w.n_positions
         children = tuple((w.next_pos(p),) for p in range(n))
-        letters = [w.letter(p) for p in range(n)]
         assert root == 0
-        assert (list(zip(labels, prios)) if decorated else list(labels)) == letters
+        assert list(labels) == [w.letter(p) for p in range(n)]
         assert preds == trace.predecessor_maps(children)
         rng = random.Random(f"pre-{i}")
         for s in [0, (1 << n) - 1, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(50)]:
