@@ -30,7 +30,9 @@ dropped and adjacent classes of one sign share an equation
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from . import hes as hes_mod
@@ -465,17 +467,18 @@ def _compact_blocks(aut, decorated: bool, states=None):
     return partition, signs, block_of
 
 
-def _lasso_generator(aut, w):
+def _lasso_generator(aut, w, symbol_of=None):
     """The unary generator of a lasso, with its predecessor map in closed
     form.  Position p carries letter p of ``stem + cycle`` and has the one
     child ``p + 1``, except that the last position wraps to the loop start
     ``len(stem)``.  So ``pre(S)`` is two shifts: a right shift by 1 masked to
     positions ``0 .. n - 2``, and at position ``n - 1`` a left shift by
     ``n - 1 - len(stem)`` (a right shift by 0 when the cycle has length 1).
+    ``symbol_of(label)`` is the part of a label checked against the
+    alphabet (default: the whole label).
     """
     labels = (*w.stem, *w.cycle)
-    symbols = {a for a, _ in labels} if isinstance(w, DecoratedLassoWord) else set(labels)
-    missing = symbols - set(aut.alphabet)
+    missing = set(labels if symbol_of is None else map(symbol_of, labels)) - set(aut.alphabet)
     if missing:
         raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
     n, wrap = len(labels), len(labels) - 1 - len(w.stem)
@@ -496,15 +499,16 @@ def _lasso_successors(w):
     return successors
 
 
-def _tree_nodes(aut, t):
+def _tree_nodes(aut, t, symbol_of=None):
     """The node graph of a regular tree, nodes numbered in declaration
-    order: labels, child lists and root."""
+    order: labels, child lists and root.  ``symbol_of(label)`` is the part
+    of a label checked against the ranked alphabet (default: the whole
+    label)."""
     nodes = t.node_ids()
     index = {n: i for i, n in enumerate(nodes)}
-    decorated = isinstance(t, DecoratedRegularTreeRep)
     labels = tuple([t.label(n) for n in nodes])
     for n, label in zip(nodes, labels):
-        sym = label[0] if decorated else label
+        sym = label if symbol_of is None else symbol_of(label)
         if sym not in aut.alphabet:
             raise AlphabetMismatchError(f"tree symbol {sym!r} not in automaton alphabet")
         if aut.alphabet.arity(sym) != len(t.children(n)):
@@ -523,13 +527,17 @@ def _generator(aut, input_obj, decorated: bool):
 
     A decorated input keeps its ``(symbol, priority)`` labels, and each
     transition ``(x, a, ys)`` becomes ``(x, (a, priority(x)), ys)``, so
-    state x admits exactly the positions of its own priority."""
+    state x admits exactly the positions of its own priority.  The
+    alphabet checks read the symbol part of a decorated label and the whole
+    label of an ordinary one, so a decorated input in ordinary mode fails
+    them."""
+    symbol_of = itemgetter(0) if decorated else None
     if isinstance(aut, ParityWordAutomaton):
         if decorated and not isinstance(input_obj, DecoratedLassoWord):
             raise TypeError("decorated mode needs a DecoratedLassoWord")
         if not decorated and not isinstance(input_obj, LassoWord):
             raise TypeError("ordinary mode needs a LassoWord")
-        labels, preds, root = _lasso_generator(aut, input_obj)
+        labels, preds, root = _lasso_generator(aut, input_obj, symbol_of)
         transitions = _word_transitions(aut)
         successors = _lasso_successors(input_obj)
     elif isinstance(aut, ParityTreeAutomaton):
@@ -537,7 +545,7 @@ def _generator(aut, input_obj, decorated: bool):
             raise TypeError("decorated mode needs a DecoratedRegularTreeRep")
         if not decorated and not isinstance(input_obj, RegularTreeRep):
             raise TypeError("ordinary mode needs a RegularTreeRep")
-        labels, children, root = _tree_nodes(aut, input_obj)
+        labels, children, root = _tree_nodes(aut, input_obj, symbol_of)
         transitions, preds = aut.transitions, predecessor_maps(children)
         successors = children.__getitem__
     else:
@@ -709,12 +717,12 @@ def infinitary_trace_membership(aut: ParityWordAutomaton, x: str, w: LassoWord) 
     """Does any infinite run over the lasso exist from x (acceptance ignored)?
 
     Parity membership of the copy of ``aut`` with every state at priority
-    2, in which every infinite run is accepting.
+    2, in which every infinite run is accepting.  The copy shares the
+    already validated states and transitions instead of building them again.
     """
     _require_state(aut, x)
-    every_run = ParityWordAutomaton(
-        aut.states, aut.alphabet, aut.transitions, dict.fromkeys(aut.states, 2)
-    )
+    every_run = copy.copy(aut)
+    every_run.priorities, every_run.two_n = dict.fromkeys(aut.states, 2), 2
     return _compact_verdict(every_run, x, w, False).value
 
 

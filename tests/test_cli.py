@@ -208,6 +208,13 @@ class TestDecoratedCommands:
         )
         assert code == 2 and "grade" in err.lower()
 
+    def test_tree_member_rejects_decorated_tree(self, capsys, tmp_path):
+        aut, tree = tmp_path / "t.aut", tmp_path / "t.dtree"
+        aut.write_text(TREE_AUT)
+        tree.write_text("decorated-tree\nroot: n\nnode n = f:2(n);\n")
+        code, out, err = run(capsys, ["tree-member", str(aut), str(tree), "--state", "x"])
+        assert (code, out) == (2, "") and err.startswith("error:")
+
     def test_witness(self, capsys, intro_file):
         code, out, _ = run(capsys, ["witness", intro_file, "--state", "x", "--lasso", ";ba"])
         assert code == 0 and out == "b:1;a:2,b:1"

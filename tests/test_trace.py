@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,16 @@ class TestTreeMembership:
         with pytest.raises(GradeMismatchError):
             decorated_trace_membership(aut, "x", wrong)
 
+    def test_decorated_tree_in_ordinary_mode_rejected(self):
+        # a decorated label is a (symbol, priority) pair, never a symbol
+        alph = RankedAlphabet([("f", 1)])
+        aut = ParityTreeAutomaton(("x",), alph, [("x", "f", ("x",))], {"x": 2})
+        xi = DecoratedRegularTreeRep({"n": (("f", 2), ("n",))}, "n")
+        with pytest.raises(AlphabetMismatchError):
+            tree_language_membership(aut, "x", xi)
+        with pytest.raises(AlphabetMismatchError):
+            build_restricted_hes(aut, xi, "ordinary")
+
 
 class TestFiniteTraces:
     def flagged_loop(self):
@@ -346,6 +357,8 @@ class TestInfinitary:
             w = random_lasso(aut.alphabet, 4, 4, rng)
             verdict = infinitary_trace_membership(aut, x, w)
             assert verdict == self.run_exists(aut, x, w), (seed, x, w)
+            # the all-priority-2 copy leaves the automaton's priorities alone
+            assert aut.priorities == base.priorities and aut.two_n == base.two_n
             counts[verdict] += 1
         assert min(counts.values()) >= 100, counts
 
@@ -1058,7 +1071,8 @@ class TestLassoPredecessorMaps:
     def test_closed_form_equals_child_lists(self, i):
         w = self.LASSOS[i] if i < len(self.LASSOS) else self.long_lasso()
         aut = intro_automaton()
-        labels, preds, root = trace._lasso_generator(aut, w)
+        symbol_of = itemgetter(0) if isinstance(w, DecoratedLassoWord) else None
+        labels, preds, root = trace._lasso_generator(aut, w, symbol_of)
         n = w.n_positions
         children = tuple((w.next_pos(p),) for p in range(n))
         assert root == 0
