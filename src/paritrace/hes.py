@@ -38,7 +38,6 @@ __all__ = [
     "HierEqSystem",
     "Solution",
     "solve",
-    "intermediate",
     "parse_hes_text",
     "HesFormatError",
 ]
@@ -133,8 +132,11 @@ class _Solver:
     arguments differ from that run's only at levels ``j+1 .. k``: level
     ``k`` moved to its new iterate, and each restarted level from its last
     solution to its new start.  So ``up`` and ``down`` are carried down the
-    restart with one comparison per level.  Nothing is memoised, since two
-    runs of one level never see the same outer arguments.
+    restart with one comparison per level.  The solver keeps no table of
+    solved levels, since two runs of one level never see the same outer
+    arguments; a body may still keep the last image of each input it reads
+    (``trace.make_phi_body`` does), as most of the assignment is the same
+    object from one evaluation to the next.
     """
 
     def __init__(self, hes: HierEqSystem, budget: int | None, warm_start: bool = True):
@@ -184,9 +186,12 @@ class _Solver:
                 if k == top:
                     return tuple(vals[:top])
                 continue
+            # new != u, so by antisymmetry at most one direction holds: check
+            # only the level's own, up for mu and down for nu
             lat = self.lattices[k]
-            up, down = lat.leq(u, new), lat.leq(new, u)
-            if not (up if self.ascending[k] else down):
+            up = self.ascending[k]
+            down = not up
+            if not (lat.leq(u, new) if up else lat.leq(new, u)):
                 raise MonotonicityError(
                     f"equation {eq.var!r}: {eq.sign}-iteration moved against "
                     f"the chain (non-monotone body)"
@@ -231,22 +236,6 @@ def solve(
         body_evals=solver.body_evals,
         variables=tuple(eq.var for eq in hes.equations),
     )
-
-
-def intermediate(hes: HierEqSystem, i: int, j: int, outer_args: Sequence[Any] = ()) -> Any:
-    """White-box access to the intermediate solution of variable j at level i.
-
-    ``i`` and ``j`` are 1-based with ``1 <= j <= i <= len(hes)``;
-    ``outer_args`` supplies values for variables i+1..m, in order.
-    """
-    m = len(hes)
-    if not (1 <= j <= i <= m):
-        raise ValueError(f"need 1 <= j <= i <= {m}, got i={i}, j={j}")
-    outer_args = tuple(outer_args)
-    if len(outer_args) != m - i:
-        raise ValueError(f"expected {m - i} outer arguments, got {len(outer_args)}")
-    solver = _Solver(hes, None)
-    return solver.prefix(i, outer_args)[j - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,6 @@ class PowersetLattice(FiniteLattice):
     def index(self, item: Any) -> int:
         return self._indices()[item]
 
-    def singleton(self, item: Any) -> int:
-        return 1 << self._indices()[item]
-
     def from_iterable(self, items) -> int:
         index = self._indices()
         mask = 0
@@ -178,13 +175,17 @@ class PowersetLattice(FiniteLattice):
 
 
 class FunctionLattice(FiniteLattice):
-    """Total maps from a finite domain into a codomain lattice, pointwise.
+    """Total maps from a finite domain into a powerset lattice, pointwise.
 
-    Elements are tuples aligned with the (fixed) domain order, so they stay
-    hashable and comparisons reduce to componentwise work.
+    Elements are tuples of bitmasks aligned with the (fixed) domain order,
+    so they stay hashable, and the order and the operations are one plain
+    loop of bitwise work over the two tuples.  Any other codomain is
+    rejected.
     """
 
-    def __init__(self, domain: Any, codomain: FiniteLattice):
+    def __init__(self, domain: Any, codomain: PowersetLattice):
+        if not isinstance(codomain, PowersetLattice):
+            raise TypeError(f"codomain must be a PowersetLattice, got {codomain!r}")
         domain = tuple(domain)
         if len(set(domain)) != len(domain):
             raise ValueError("domain has duplicate items")
@@ -203,16 +204,16 @@ class FunctionLattice(FiniteLattice):
         return self._top
 
     def join(self, a: tuple, b: tuple) -> tuple:
-        cod = self.codomain
-        return tuple(cod.join(x, y) for x, y in zip(a, b))
+        return tuple([x | y for x, y in zip(a, b)])
 
     def meet(self, a: tuple, b: tuple) -> tuple:
-        cod = self.codomain
-        return tuple(cod.meet(x, y) for x, y in zip(a, b))
+        return tuple([x & y for x, y in zip(a, b)])
 
     def leq(self, a: tuple, b: tuple) -> bool:
-        cod = self.codomain
-        return all(cod.leq(x, y) for x, y in zip(a, b))
+        for x, y in zip(a, b):
+            if x & ~y:
+                return False
+        return True
 
     def size(self) -> int:
         return self.codomain.size() ** len(self.domain)

@@ -267,6 +267,14 @@ def make_phi_body(
     where ``S`` is the joint assignment.  A group without slots (a nullary
     position) yields its mask unchanged.  The body is monotone by
     construction (slots are positive).
+
+    Each key ``(child slot, equation, domain index)`` keeps the last
+    argument it shifted and the image it got, and reuses the image while
+    the assignment holds that same object (``is``): between two steps of a
+    nested solve most values are unchanged.  The pair is replaced in one
+    assignment, so two threads evaluating one body never read an argument
+    with another argument's image; an equal value in a distinct object is
+    only recomputed.
     """
     keys: dict[tuple[int, int, int], int] = {}
     rows = []
@@ -290,16 +298,23 @@ def make_phi_body(
     # (equation, domain index, right shifts, left shifts), one entry per key
     inputs = tuple((k, yi) + preds[i] for (i, k, yi) in keys)
 
+    memo = [(None, 0)] * len(inputs)
+
     def body(assign: tuple) -> tuple:
         pre = []
-        for k, yi, right, left in inputs:
+        for j, (k, yi, right, left) in enumerate(inputs):
             s = assign[k][yi]
+            last_s, acc = memo[j]
+            if last_s is s:
+                pre.append(acc)
+                continue
             acc = 0
             if s:
                 for d, m in right:
                     acc |= (s >> d) & m
                 for d, m in left:
                     acc |= (s << d) & m
+            memo[j] = (s, acc)
             pre.append(acc)
         out = []
         for row in rows:

@@ -1,14 +1,16 @@
 """Lattice code that only the tests use: a product lattice, a plain Kleene
-loop with its least/greatest fixpoints, and enumeration- and sampling-based
-oracles.  The Kleene loop is independent of the nested solver in
-``paritrace.hes``, so the tests can compare the two."""
+loop with its least/greatest fixpoints, enumeration- and sampling-based
+oracles, powerset singletons, and white-box access to the nested solver's
+intermediate solutions.  The Kleene loop is independent of the nested
+solver in ``paritrace.hes``, so the tests can compare the two."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
+from paritrace.hes import HierEqSystem, _Solver
 from paritrace.lattice import (
     MAX_ENUM,
     MU,
@@ -196,3 +198,23 @@ def _sample_elements(lat: FiniteLattice, rng: random.Random, n: int) -> list:
         pools = [_sample_elements(c, rng, n) for c in lat.components]
         return [tuple(rng.choice(p) for p in pools) for _ in range(n)]
     return list(itertools.islice(lat._iter_elements(), n)) + [lat.bottom, lat.top]
+
+
+def singleton(lat: PowersetLattice, item: Any) -> int:
+    """The one-item subset ``{item}`` of a powerset lattice."""
+    return 1 << lat.index(item)
+
+
+def intermediate(hes: HierEqSystem, i: int, j: int, outer_args: Sequence[Any] = ()) -> Any:
+    """White-box access to the intermediate solution of variable j at level i.
+
+    ``i`` and ``j`` are 1-based with ``1 <= j <= i <= len(hes)``;
+    ``outer_args`` supplies values for variables i+1..m, in order.
+    """
+    m = len(hes)
+    if not (1 <= j <= i <= m):
+        raise ValueError(f"need 1 <= j <= i <= {m}, got i={i}, j={j}")
+    outer_args = tuple(outer_args)
+    if len(outer_args) != m - i:
+        raise ValueError(f"expected {m - i} outer arguments, got {len(outer_args)}")
+    return _Solver(hes, None).prefix(i, outer_args)[j - 1]

@@ -1,12 +1,19 @@
 """The bitmask bodies equal the per-cell reference bodies on arbitrary
 assignments, for every input kind the restricted-system builder serves."""
 
+import json
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from cellbody import cell_bodies
 
 from paritrace import trace
+from paritrace.automata import parse
+from paritrace.hes import solve
+from paritrace.omega_input import parse_lasso
 from paritrace.automata import (
     TreeGenParams,
     WordGenParams,
@@ -163,3 +170,98 @@ def test_bitmask_body_equals_cell_body(kind):
 @pytest.mark.parametrize("kind", PARITY_KINDS)
 def test_compacted_body_equals_cell_body(kind):
     check_against_cells(kind, random.Random(f"compact-body-{kind}"), trace._compact_blocks)
+
+
+def _distinct_copy(assign):
+    """``assign`` with every value rebuilt as a new ``int`` object (CPython
+    shares the objects of -5..256, so only larger values are distinct)."""
+    copy = tuple(tuple(int(str(v)) for v in row) for row in assign)
+    for row, new_row in zip(assign, copy):
+        for v, w in zip(row, new_row):
+            assert v == w and (v <= 256 or v is not w)
+    return copy
+
+
+def _mixed(a, b, rng):
+    """Each value from ``a`` or ``b``, the same objects: part of the keys
+    keep their argument and part change."""
+    return tuple(
+        tuple(rng.choice(pair) for pair in zip(row_a, row_b)) for row_a, row_b in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_memoised_body_equals_cell_body_on_repeats(kind):
+    """A body reuses the image of a key while its argument is the same
+    object; on sequences that return to earlier assignments (A, B, A), mix
+    them and repeat equal values in new objects, it still equals the
+    memo-free reference."""
+    rng = random.Random(f"memo-{kind}")
+    checked = distinct = widest = 0
+    for seed in range(20):
+        args, (ref_transitions, ref_labels, children, prios, priority) = generator_args(
+            kind, seed, rng
+        )
+        transitions, labels, preds, root, partition, signs = args
+        moves, _ = trace._moves(transitions, labels, [y for block in partition for y in block])
+        rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+        reference = cell_bodies(
+            ref_transitions, ref_labels, children, partition, prios, priority
+        )
+        n = len(labels)
+        widest = max(widest, n)
+        a, b = (
+            tuple(tuple(random_value(n, rng) for _ in c.domain) for c in rh.carriers)
+            for _ in range(2)
+        )
+        pool = [a, b, _mixed(a, b, rng), _mixed(b, a, rng), _distinct_copy(a), _distinct_copy(b)]
+        tail = pool * 3
+        rng.shuffle(tail)
+        for assign in [a, b, a] + tail:
+            for eq, ref in zip(rh.hes.equations, reference):
+                assert eq.body(assign) == ref(assign), (kind, seed, eq.var)
+                checked += 1
+        distinct += any(v > 256 for row in a for v in row)
+    # a value above 256 needs more than 8 positions, which the trees lack
+    assert checked >= 20 * 21 and (distinct >= 5 or widest <= 8)
+
+
+DEEP_SOLVE_COUNTERS = Path(__file__).parent / "data" / "deep_solve_counters.json"
+
+
+def test_two_threads_share_one_system():
+    """Two threads solving the same system share its bodies' memos; each
+    solve still equals a single-threaded solve of a fresh build, whose
+    counters are the recorded ones."""
+    cases = json.loads(DEEP_SOLVE_COUNTERS.read_text(encoding="utf-8"))["cases"]
+    cases = sorted(cases, key=lambda c: -c["expected"]["warm"]["body_evals"])[:4]
+    inputs = [(parse(c["automaton"]), parse_lasso(c["input"])) for c in cases]
+    expected = [solve(trace.build_restricted_hes(aut, w).hes) for aut, w in inputs]
+    shared = [trace.build_restricted_hes(aut, w).hes for aut, w in inputs]
+    results = [[], []]
+    errors = []
+
+    def work(out):
+        try:
+            for _ in range(3):
+                out.append([solve(hes) for hes in shared])
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-evaluation
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    for out in results:
+        assert out == [expected] * 3
+    # and the single-threaded solves are the recorded ones
+    for case, sol in zip(cases, expected):
+        warm = case["expected"]["warm"]
+        assert (list(sol.iterations), sol.body_evals) == (warm["iterations"], warm["body_evals"])

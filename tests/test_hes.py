@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from brute import brute_solve
-from fixpoints import ProductLattice, check_monotone_on_samples, kleene_gfp, kleene_lfp
+from fixpoints import (
+    ProductLattice,
+    check_monotone_on_samples,
+    intermediate,
+    kleene_gfp,
+    kleene_lfp,
+)
 from genhes import random_hes
 
 from paritrace.hes import (
@@ -13,7 +19,6 @@ from paritrace.hes import (
     Equation,
     HesFormatError,
     HierEqSystem,
-    intermediate,
     parse_hes_text,
     solve,
 )
@@ -79,6 +84,75 @@ class TestSolveBasics:
         )
         with pytest.raises(MonotonicityError):
             solve(bad)
+
+
+#: a two-item carrier of pairs of two-bit masks
+F = FunctionLattice(("x", "y"), P2)
+#: a strict step of the outer level: nu moves from the top down to this
+OUTER_STEP = (0b01, 0b11)
+#: a chain that first steps the right way, then moves against it
+BAD_CHAINS = {
+    "mu-down": (MU, [(0b00, 0b00), (0b11, 0b00), (0b01, 0b00)]),
+    "mu-incomparable": (MU, [(0b00, 0b00), (0b01, 0b00), (0b00, 0b01)]),
+    "nu-up": (NU, [(0b11, 0b11), (0b00, 0b11), (0b10, 0b11)]),
+    "nu-incomparable": (NU, [(0b11, 0b11), (0b10, 0b11), (0b11, 0b10)]),
+}
+
+
+def _chain_system(sign, values, placement):
+    """A system whose level ``own`` maps each value of ``values`` to the
+    next, once the outer level ``a[outer]`` has stepped to ``OUTER_STEP``
+    (at once without an outer level), and otherwise holds its value.
+
+    ``placement`` puts that level alone at level 0, at level 0 under an
+    outer nu-level that restarts it, or at level 1 between an inner level
+    and such an outer level, so the restart passes through a level."""
+    own, outer = {"alone": (0, None), "level-0": (0, 1), "level-1": (1, 2)}[placement]
+    nxt = dict(zip(values, values[1:]))
+
+    def body(a):
+        u = a[own]
+        if outer is None or a[outer] == OUTER_STEP:
+            return nxt.get(u, u)
+        return u
+
+    equations = [Equation(f"u{own + 1}", F, sign, body)]
+    if own:
+        equations.insert(0, Equation("u1", F, MU, lambda a: a[0]))
+    if outer is not None:
+        equations.append(Equation(f"u{outer + 1}", F, NU, lambda a: OUTER_STEP))
+    return HierEqSystem(equations)
+
+
+PLACEMENTS = ("alone", "level-0", "level-1")
+
+
+class TestOneSidedChainCheck:
+    """A strict step checks only its level's own direction; a step down in a
+    mu-chain, up in a nu-chain, or to an incomparable value is rejected."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHAINS))
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_step_against_the_chain_rejected(self, name, placement, warm_start):
+        sign, values = BAD_CHAINS[name]
+        hes = _chain_system(sign, values, placement)
+        var = "'u2'" if placement == "level-1" else "'u1'"
+        with pytest.raises(MonotonicityError, match=var):
+            solve(hes, warm_start=warm_start)
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHAINS))
+    def test_chain_cut_before_the_bad_step_solves(self, name):
+        sign, values = BAD_CHAINS[name]
+        sol = solve(_chain_system(sign, values[:2], "level-1"))
+        assert sol.assignment == (F.bottom, values[1], OUTER_STEP)
+        assert sol.iterations == (0, 1, 1)
+
+    def test_non_powerset_codomain_rejected(self):
+        with pytest.raises(TypeError):
+            FunctionLattice(("x",), F)
+        with pytest.raises(TypeError):
+            FunctionLattice(("x",), ProductLattice((P2, P1)))
 
 
 class TestIntermediate:
