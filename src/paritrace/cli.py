@@ -8,6 +8,7 @@ and exceeded limits (size caps, the iteration budget).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -135,7 +136,7 @@ def _engine_vs_oracle(args, run_engine, run_oracle) -> int:
     graph = run_oracle() if (args.oracle or args.both) else None
     verdict = graph.value if args.oracle else engine.value
     doc = {"schema_version": 1, "verdict": verdict}
-    if engine is not None and engine.stats is not None:
+    if engine is not None:
         doc["stats"] = engine.stats.to_json()
     if args.both:
         doc["oracle"] = graph.value
@@ -246,9 +247,10 @@ def _cmd_fuzz(args) -> int:
         except json.JSONDecodeError as exc:
             raise harness_mod.ConfigError(f"{args.config}: not valid JSON: {exc}") from None
         cfg = harness_mod.CampaignConfig.from_json(doc)
-        cfg = harness_mod.CampaignConfig(**{**cfg.__dict__, "trials": args.trials or cfg.trials})
     else:
-        cfg = harness_mod.CampaignConfig(trials=args.trials or 100)
+        cfg = harness_mod.CampaignConfig()
+    if args.trials is not None:
+        cfg = dataclasses.replace(cfg, trials=args.trials)
     report = harness_mod.campaign(cfg, args.seed)
     _emit(args, report.summary(), report.to_json())
     return 0 if report.ok else DISAGREE_EXIT
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fuzz", _cmd_fuzz, "run a differential campaign")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_non_negative_int, default=None)
     p.add_argument("--config", default=None, help="JSON campaign config file")
 
     add("pinned", _cmd_pinned, "run the pinned regression suite")

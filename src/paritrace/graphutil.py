@@ -88,12 +88,15 @@ def cycle_with_max_parity(
     succ: Mapping[Vertex, Sequence[Vertex]],
     priority: Callable[[Vertex], int],
     parity: int,
-) -> Vertex | None:
+) -> tuple[Vertex, set[Vertex], dict[Vertex, list[Vertex]]] | None:
     """Find a cycle whose maximum priority has the given parity (0 or 1).
 
-    Returns a vertex of maximal priority on such a cycle, or None.  A cycle
-    with maximum q exists iff, among vertices of priority <= q, some SCC
-    both contains a priority-q vertex and carries a cycle.
+    A cycle with maximum q exists iff, among vertices of priority <= q,
+    some SCC both contains a priority-q vertex and carries a cycle.
+    Returns ``(v, scc, sub_succ)``: a vertex ``v`` of priority q on such a
+    cycle, its SCC, and ``succ`` restricted to the vertices of priority
+    <= q, in which the SCC is strongly connected.  Returns None when no
+    such cycle exists.
     """
     vertices = list(vertices)
     prios = sorted({priority(v) for v in vertices if priority(v) % 2 == parity}, reverse=True)
@@ -106,7 +109,7 @@ def cycle_with_max_parity(
                 continue
             for v in scc:
                 if priority(v) == q:
-                    return v
+                    return v, scc, sub_succ
     return None
 
 

@@ -9,7 +9,6 @@ counterexamples; reports serialise to stable JSON.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -41,7 +40,12 @@ from .omega_input import (
     tree_reps_bisimilar,
     unroll,
 )
-from .oracle import finite_run_enumeration, lasso_acceptance, tree_membership_oracle
+from .oracle import (
+    MAX_FINITE_LEN,
+    finite_run_enumeration,
+    lasso_acceptance,
+    tree_membership_oracle,
+)
 from .trace import (
     BOTTOM,
     buchi_trace_membership,
@@ -112,6 +116,8 @@ class CampaignConfig:
                 raise ConfigError(
                     f"{key} must be an integer >= {_CONFIG_MINIMA.get(key, 0)}, got {value!r}"
                 )
+            elif key == "finite_maxlen" and value > MAX_FINITE_LEN:
+                raise ConfigError(f"finite_maxlen must be <= {MAX_FINITE_LEN}, got {value}")
         if "properties" in doc:
             doc = dict(doc, properties=tuple(doc["properties"]))
         return cls(**doc)
@@ -172,9 +178,6 @@ class Report:
             "ok": self.ok,
             "properties": [r.to_json() for r in self.results],
         }
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True).encode()
 
     def summary(self) -> str:
         lines = [f"campaign: seed={self.seed} trials={self.trials} ok={self.ok}"]

@@ -301,11 +301,6 @@ class RunTreeRep(RegularTreeRep):
             if not (isinstance(lab, tuple) and len(lab) == 2):
                 raise InputError(f"node {n!r}: run labels are (symbol, state) pairs")
 
-    def symbol_tree(self) -> RegularTreeRep:
-        return RegularTreeRep(
-            {n: (lab[0], kids) for n, (lab, kids) in self.nodes.items()}, self.root
-        )
-
 
 def decorate_run(run, priorities: Mapping[str, int]):
     """Replace each state in a run by its priority.
@@ -353,8 +348,9 @@ def check_decorated_invariant(xi, expected_grade: int | None = None) -> list[str
             problems.append(f"grade is {xi.grade}, expected {expected_grade}")
     elif isinstance(xi, DecoratedRegularTreeRep):
         succ = {n: kids for n, (_, kids) in xi.nodes.items()}
-        bad = cycle_with_max_parity(xi.nodes, succ, xi.priority, parity=1)
-        if bad is not None:
+        found = cycle_with_max_parity(xi.nodes, succ, xi.priority, parity=1)
+        if found is not None:
+            bad = found[0]
             problems.append(
                 f"reachable cycle with odd maximum priority {xi.priority(bad)} (at node {bad!r})"
             )

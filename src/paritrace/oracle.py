@@ -20,7 +20,6 @@ from .graphutil import (
     cycle_through,
     cycle_with_max_parity,
     shortest_path,
-    strongly_connected_components,
 )
 from .omega_input import LassoWord, RegularTreeRep, RunLasso, RunTreeRep
 
@@ -35,7 +34,11 @@ __all__ = [
     "zielonka_solve",
     "tree_membership_oracle",
     "finite_run_enumeration",
+    "MAX_FINITE_LEN",
 ]
+
+#: Longest word ``finite_run_enumeration`` enumerates.
+MAX_FINITE_LEN = 8
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,10 @@ def lasso_acceptance(aut: ParityWordAutomaton, x: str, w: LassoWord) -> OracleVe
     cycle and then around it.
     """
     pg = ProductGraph(aut, w, x)
-    hit = cycle_with_max_parity(pg.vertices, pg.succ, pg.priority, parity=0)
-    if hit is None:
+    found = cycle_with_max_parity(pg.vertices, pg.succ, pg.priority, parity=0)
+    if found is None:
         return OracleVerdict(False)
-    q = pg.priority(hit)
-    sub = [v for v in pg.vertices if pg.priority(v) <= q]
-    subset = set(sub)
-    sub_succ = {v: [u for u in pg.succ.get(v, ()) if u in subset] for v in sub}
-    scc = next(c for c in strongly_connected_components(sub, sub_succ) if hit in c)
+    hit, scc, sub_succ = found
     cycle = cycle_through(hit, scc, sub_succ)
     path = shortest_path(pg.start, hit, pg.succ)
     return OracleVerdict(True, pg.run_from_paths(path, cycle))
@@ -360,8 +359,8 @@ def finite_run_enumeration(aut: ParityWordAutomaton, x: str, maxlen: int) -> fro
     """
     if x not in aut.states:
         raise AutomatonError(f"undeclared state {x!r}")
-    if maxlen > 8:
-        raise ValueError(f"maxlen {maxlen} exceeds the enumeration cap of 8")
+    if maxlen > MAX_FINITE_LEN:
+        raise ValueError(f"maxlen {maxlen} exceeds the enumeration cap of {MAX_FINITE_LEN}")
     words = set()
     level: dict[tuple, set] = {(): {x}}
     for _ in range(maxlen + 1):

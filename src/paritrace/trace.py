@@ -33,7 +33,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from . import hes as hes_mod
 from .automata import (
@@ -138,19 +138,13 @@ class SolveStats:
 @dataclass
 class MembershipVerdict:
     value: bool
-    witness: Any = None
-    stats: SolveStats | None = None
+    stats: SolveStats
 
     def __bool__(self) -> bool:
         return self.value
 
     def to_json(self) -> dict:
-        doc: dict = {"schema_version": 1, "verdict": self.value}
-        if self.witness is not None:
-            doc["witness"] = str(self.witness)
-        if self.stats is not None:
-            doc["stats"] = self.stats.to_json()
-        return doc
+        return {"schema_version": 1, "verdict": self.value, "stats": self.stats.to_json()}
 
 
 class RestrictedHes:
@@ -331,39 +325,24 @@ def make_phi_body(
     return body
 
 
-def _moves(transitions, labels, states):
-    """Group ``(state, label, successors)`` triples in one pass.
+def _moves(transitions, labels) -> dict:
+    """Group ``(state, label, ys)`` transition triples in one pass into
+    ``moves[x][ys]``: the set of positions where some transition of state
+    ``x`` to the successor tuple ``ys`` is enabled, as a bitmask.
 
     Position ``p`` enables the transitions on its label ``labels[p]``.  A
     decorated input comes with its transitions relabelled (see
     ``_generator``), so its labels are ``(symbol, priority)`` pairs and
-    state x admits only the positions of its own priority.  A set of states
-    is a bitmask over ``states``.  The transitions enabled somewhere come
-    back in two indexes:
-
-    - ``moves[x][ys]``: the set of positions where some transition of
-      state ``x`` to the successor tuple ``ys`` is enabled, as a bitmask;
-    - ``post[x][label][i]``: the set of i-th successors of the transitions
-      of ``x`` enabled at the positions of one label, as a bitmask.
+    state x admits only the positions of its own priority.
     """
-    bit = {y: 1 << i for i, y in enumerate(states)}
     label_masks = _masks_by_value(labels)
     moves: dict = {}
-    post: dict = {}
     for x, label, ys in transitions:
         mask = label_masks.get(label, 0)
         if mask:
-            row = moves.get(x)
-            if row is None:
-                row = moves[x] = {}
-                post[x] = {}
+            row = moves.setdefault(x, {})
             row[ys] = row.get(ys, 0) | mask
-            slots = post[x].get(label)
-            if slots is None:
-                slots = post[x][label] = [0] * len(ys)
-            for i, y in enumerate(ys):
-                slots[i] |= bit[y]
-    return moves, post
+    return moves
 
 
 def _system_from_moves(moves, n, preds, root, partition, signs) -> RestrictedHes:
@@ -393,25 +372,31 @@ def _system_from_moves(moves, n, preds, root, partition, signs) -> RestrictedHes
     return RestrictedHes(HierEqSystem(equations), carriers, pos_lat.ground, root)
 
 
-def _cone_states(post, states, labels, successors, x, root) -> list:
+def _cone_states(moves, preds, labels, states, x, root) -> list:
     """The states of the cone of ``(x, root)``, in the order of ``states``:
     the (state, position) pairs that ``(x, root)`` reaches over enabled
     transitions.
 
-    ``post`` is the index of ``_moves`` over the bits of ``states``;
-    ``labels[p]`` is the label of position ``p`` and ``successors(p)``
-    lists its child positions.  The walk carries the states at a position
-    as a bitmask and memoises each (states, label) step.  It stops as soon
-    as it has reached every state that x reaches in the automaton's graph
-    over ``post``, the bound on any cone.
+    The walk reads the generator's own description: ``labels``, and the
+    predecessor maps ``preds`` of ``predecessor_maps``, where child slot
+    ``i`` of position ``p`` is ``p + d`` for the right shift ``(d, mask)``
+    of slot ``i`` whose mask holds ``p``, or ``p - d`` for such a left
+    shift.  A state steps at ``p`` to the ``ys`` of each of its ``moves``
+    whose mask holds ``p``.  The walk carries the states at a position as
+    a bitmask over ``states`` and memoises each (states, label) step, since
+    positions of one label enable the same moves.  It stops as soon as it
+    has reached every state that x reaches in the automaton's graph over
+    ``moves``, the bound on any cone.
     """
-    start = 1 << states.index(x)
+    bit = {y: 1 << i for i, y in enumerate(states)}
+    start = bit[x]
     bound, new = start, start
     while new:
         low = new & -new
         new ^= low
-        for slots in post.get(states[low.bit_length() - 1], {}).values():
-            for m in slots:
+        for ys in moves.get(states[low.bit_length() - 1], ()):
+            for y in ys:
+                m = bit[y]
                 new |= m & ~bound
                 bound |= m
     memo: dict = {}
@@ -420,19 +405,25 @@ def _cone_states(post, states, labels, successors, x, root) -> list:
     todo = [(root, start)]
     while todo and seen != bound:
         p, at = todo.pop()
-        kids = successors(p)
+        here = 1 << p
         outs = memo.get((at, labels[p]))
         if outs is None:
-            outs = [0] * len(kids)
+            outs = [0] * len(preds)
             rest = at
             while rest:
                 low = rest & -rest
                 rest ^= low
-                row = post.get(states[low.bit_length() - 1], {})
-                for i, m in enumerate(row.get(labels[p], ())):
-                    outs[i] |= m
+                for ys, mask in moves.get(states[low.bit_length() - 1], {}).items():
+                    if mask & here:
+                        for i, y in enumerate(ys):
+                            outs[i] |= bit[y]
             memo[(at, labels[p])] = outs
-        for q, out in zip(kids, outs):
+        for (right, left), out in zip(preds, outs):
+            if not out:
+                continue
+            q = next((p + d for d, m in right if m & here), None)
+            if q is None:
+                q = next(p - d for d, m in left if m & here)
             fresh = out & ~reached.get(q, 0)
             if fresh:
                 reached[q] = reached.get(q, 0) | fresh
@@ -454,11 +445,10 @@ def _parity_blocks(aut, decorated: bool):
     return partition, [MU if i % 2 == 1 else NU for i in range(1, aut.two_n + 1)]
 
 
-def _compact_blocks(aut, decorated: bool, states=None):
+def _compact_blocks(aut, decorated: bool, states):
     """The system the membership functions solve: the defining system
-    over ``states`` (default: all of them, in the automaton's order)
-    without its empty priority classes, with each maximal run of used
-    priorities of equal parity merged into one equation.
+    over ``states`` without its empty priority classes, with each maximal
+    run of used priorities of equal parity merged into one equation.
 
     Equations come in ascending order of priority, mu on odd runs and nu on
     even ones; the decorated system is all-nu, so it is one nu-equation over
@@ -471,7 +461,7 @@ def _compact_blocks(aut, decorated: bool, states=None):
     prio = aut.priorities
     blocks: list[list] = []
     signs: list[str] = []
-    for y in sorted(aut.states if states is None else states, key=prio.__getitem__):
+    for y in sorted(states, key=prio.__getitem__):
         sign = NU if decorated or prio[y] % 2 == 0 else MU
         if not signs or signs[-1] != sign:
             blocks.append([])
@@ -503,17 +493,6 @@ def _lasso_generator(aut, w, symbol_of=None):
     return labels, (preds,), 0
 
 
-def _lasso_successors(w):
-    """A lasso's child map in closed form: ``p -> (p + 1,)``, and the last
-    position to the loop start."""
-    last, loop = w.n_positions - 1, (len(w.stem),)
-
-    def successors(p: int) -> tuple:
-        return (p + 1,) if p < last else loop
-
-    return successors
-
-
 def _tree_nodes(aut, t, symbol_of=None):
     """The node graph of a regular tree, nodes numbered in declaration
     order: labels, child lists and root.  ``symbol_of(label)`` is the part
@@ -537,8 +516,8 @@ def _tree_nodes(aut, t, symbol_of=None):
 
 def _generator(aut, input_obj, decorated: bool):
     """The pointed generator of a lasso or tree input, as ``(transitions,
-    labels, preds, root, successors)``: ``successors(p)`` lists the child
-    positions of ``p``.
+    labels, preds, root)``: ``preds`` are its predecessor maps, in the form
+    of ``predecessor_maps``.
 
     A decorated input keeps its ``(symbol, priority)`` labels, and each
     transition ``(x, a, ys)`` becomes ``(x, (a, priority(x)), ys)``, so
@@ -554,7 +533,6 @@ def _generator(aut, input_obj, decorated: bool):
             raise TypeError("ordinary mode needs a LassoWord")
         labels, preds, root = _lasso_generator(aut, input_obj, symbol_of)
         transitions = _word_transitions(aut)
-        successors = _lasso_successors(input_obj)
     elif isinstance(aut, ParityTreeAutomaton):
         if decorated and not isinstance(input_obj, DecoratedRegularTreeRep):
             raise TypeError("decorated mode needs a DecoratedRegularTreeRep")
@@ -562,13 +540,12 @@ def _generator(aut, input_obj, decorated: bool):
             raise TypeError("ordinary mode needs a RegularTreeRep")
         labels, children, root = _tree_nodes(aut, input_obj, symbol_of)
         transitions, preds = aut.transitions, predecessor_maps(children)
-        successors = children.__getitem__
     else:
         raise TypeError(f"cannot restrict {type(aut).__name__}")
     if decorated:
         prio = aut.priorities
         transitions = [(x, (a, prio[x]), ys) for x, a, ys in transitions]
-    return transitions, labels, preds, root, successors
+    return transitions, labels, preds, root
 
 
 def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHes:
@@ -582,9 +559,9 @@ def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHe
     if mode not in ("ordinary", "decorated"):
         raise ValueError(f"mode must be 'ordinary' or 'decorated', got {mode!r}")
     decorated = mode == "decorated"
-    transitions, labels, preds, root, _ = _generator(aut, input_obj, decorated)
+    transitions, labels, preds, root = _generator(aut, input_obj, decorated)
     partition, signs = _parity_blocks(aut, decorated)
-    moves, _ = _moves(transitions, labels, aut.states)
+    moves = _moves(transitions, labels)
     return _system_from_moves(moves, len(labels), preds, root, partition, signs)
 
 
@@ -595,15 +572,15 @@ def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdi
 
     The cone is closed under the dependencies of its pairs, so leaving out
     the other states, and every move to them, changes no value on it."""
-    transitions, labels, preds, root, successors = _generator(aut, input_obj, decorated)
-    moves, post = _moves(transitions, labels, aut.states)
-    cone = _cone_states(post, aut.states, labels, successors, x, root)
+    transitions, labels, preds, root = _generator(aut, input_obj, decorated)
+    moves = _moves(transitions, labels)
+    cone = _cone_states(moves, preds, labels, aut.states, x, root)
     partition, signs, block_of = _compact_blocks(aut, decorated, cone)
     rh = _system_from_moves(moves, len(labels), preds, root, partition, signs)
     sol = rh.solve()
     widths = tuple(len(block) for block in partition)
     stats = SolveStats(sol.iterations, sol.body_evals, len(labels), widths)
-    return MembershipVerdict(rh.member(sol.assignment, x, block_of[x]), stats=stats)
+    return MembershipVerdict(rh.member(sol.assignment, x, block_of[x]), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +647,7 @@ def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> Restrict
     positions carry ``✓``: one mu-equation over all states, where every
     final state has a nullary ``✓`` transition."""
     transitions = _word_transitions(aut) + [(y, _TICK, ()) for y in aut.final]
-    moves, _ = _moves(transitions, labels, aut.states)
+    moves = _moves(transitions, labels)
     preds = predecessor_maps(children)
     return _system_from_moves(moves, len(labels), preds, 0, [aut.states], [MU])
 

@@ -54,7 +54,7 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
     priorities of positions and states, which it compares per cell.
     ``blocks(aut, decorated)`` gives the partition and signs of the parity
     kinds: the literal ``_parity_blocks`` or the compacted
-    ``_compact_blocks``."""
+    ``_compact_blocks`` over all states."""
     if kind in ("tree", "decorated-tree"):
         params = TreeGenParams(
             n_states=rng.randint(2, 5), n_symbols=3, max_arity=2, two_n=4, density=0.7
@@ -67,7 +67,7 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
                 {n: ((t.label(n), rng.randint(1, 4)), t.children(n)) for n in t.node_ids()},
                 t.root,
             )
-        transitions, labels, preds, root, _ = trace._generator(aut, t, decorated)
+        transitions, labels, preds, root = trace._generator(aut, t, decorated)
         partition, signs = blocks(aut, decorated)[:2]
         index = {n: i for i, n in enumerate(t.node_ids())}
         children = tuple(tuple(index[c] for c in t.children(n)) for n in t.node_ids())
@@ -94,7 +94,7 @@ def generator_args(kind, seed, rng, blocks=trace._parity_blocks):
         decorated = kind == "decorated-lasso"
         if decorated:
             w = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
-        relabelled, labels, preds, root, _ = trace._generator(aut, w, decorated)
+        relabelled, labels, preds, root = trace._generator(aut, w, decorated)
         partition, signs = blocks(aut, decorated)[:2]
         args = relabelled, labels, preds, root, partition, signs
         return args, _reference_args(transitions, labels, children, aut, decorated)
@@ -144,7 +144,7 @@ def check_against_cells(kind, rng, blocks=trace._parity_blocks):
             kind, seed, rng, blocks
         )
         transitions, labels, preds, root, partition, signs = args
-        moves, _ = trace._moves(transitions, labels, [y for block in partition for y in block])
+        moves = trace._moves(transitions, labels)
         rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
         reference = cell_bodies(
             ref_transitions, ref_labels, children, partition, prios, priority
@@ -169,7 +169,11 @@ def test_bitmask_body_equals_cell_body(kind):
 
 @pytest.mark.parametrize("kind", PARITY_KINDS)
 def test_compacted_body_equals_cell_body(kind):
-    check_against_cells(kind, random.Random(f"compact-body-{kind}"), trace._compact_blocks)
+    check_against_cells(
+        kind,
+        random.Random(f"compact-body-{kind}"),
+        lambda aut, decorated: trace._compact_blocks(aut, decorated, aut.states),
+    )
 
 
 def _distinct_copy(assign):
@@ -203,7 +207,7 @@ def test_memoised_body_equals_cell_body_on_repeats(kind):
             kind, seed, rng
         )
         transitions, labels, preds, root, partition, signs = args
-        moves, _ = trace._moves(transitions, labels, [y for block in partition for y in block])
+        moves = trace._moves(transitions, labels)
         rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
         reference = cell_bodies(
             ref_transitions, ref_labels, children, partition, prios, priority

@@ -346,6 +346,8 @@ class TestBadFiles:
             '{"properties": ["no-such-property"]}',
             '{"mutation": 3}',
             '{"mutation": "flip-everything"}',
+            # above the oracle's enumeration cap, on words few enough for the engine
+            '{"finite_maxlen": 9, "max_letters": 1, "properties": ["finite-traces"], "trials": 1}',
         ],
     )
     def test_bad_fuzz_config(self, capsys, tmp_path, text):
@@ -465,6 +467,23 @@ class TestLimits:
         code, _, err = run(capsys, ["member", intro_file, "--state", "x", "--lasso", ";ba"])
         assert_one_line_usage_error(code, err)
         assert "PARITRACE_ITER_BUDGET" in err
+
+    def test_negative_fuzz_trials(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--trials", "-3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trials" in err and "Traceback" not in err
+
+    def test_zero_fuzz_trials_run_none(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["fuzz", "--trials", "0"])
+        assert code == 0 and "trials=0 ok=True" in out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trials": 7, "properties": ["engine-vs-oracle"]}')
+        code, out, _ = run(capsys, ["fuzz", "--trials", "0", "--config", str(cfg), "--json"])
+        doc = json.loads(out)
+        assert code == 0 and doc["trials"] == 0
+        assert [(p["passed"], p["failed"]) for p in doc["properties"]] == [(0, 0)]
 
     def test_negative_max_len(self, capsys, intro_file):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from paritrace.graphutil import (
 )
 from paritrace.harness import appendix_automaton, intro_automaton
 from paritrace.omega_input import (
+    RegularTreeRep,
     all_lassos,
     check_decorated_invariant,
     decorate_run,
@@ -47,7 +48,7 @@ class TestGraphUtil:
     def test_cycle_parity_search(self):
         succ = {1: [2], 2: [1]}
         prio = {1: 1, 2: 2}.get
-        assert cycle_with_max_parity([1, 2], succ, prio, parity=0) == 2
+        assert cycle_with_max_parity([1, 2], succ, prio, parity=0) == (2, {1, 2}, succ)
         assert cycle_with_max_parity([1, 2], succ, prio, parity=1) is None
 
     def test_enumerate_simple_cycles(self):
@@ -321,6 +322,11 @@ class TestBuchiEncodingPreservesLanguage:
         assert agreements > 1000
 
 
+def symbol_tree(run) -> RegularTreeRep:
+    """A run tree's input tree: each (symbol, state) label cut to its symbol."""
+    return RegularTreeRep({n: (lab[0], kids) for n, (lab, kids) in run.nodes.items()}, run.root)
+
+
 class TestWitnessRoundTrips:
     def test_word_witness_reads_its_word(self):
         # the decorated witness of an accepting run flattens to the input
@@ -360,7 +366,7 @@ class TestWitnessRoundTrips:
             if not verdict.value:
                 continue
             found += 1
-            assert tree_reps_bisimilar(verdict.run.symbol_tree(), t)
+            assert tree_reps_bisimilar(symbol_tree(verdict.run), t)
             xi = decorate_run(verdict.run, aut.priorities)
             assert tree_reps_bisimilar(delst(xi), t)
         assert found > 10

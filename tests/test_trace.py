@@ -759,7 +759,7 @@ class TestCompaction:
 
     def test_runs_of_equal_parity_merge(self):
         aut = with_priorities((8, 1, 4, 3, 6))
-        partition, signs, block_of = trace._compact_blocks(aut, False)
+        partition, signs, block_of = trace._compact_blocks(aut, False, aut.states)
         assert partition == [("s1", "s3"), ("s4", "s6", "s8")]
         assert signs == [MU, NU]
         assert block_of == {"s1": 1, "s3": 1, "s4": 2, "s6": 2, "s8": 2}
@@ -768,11 +768,13 @@ class TestCompaction:
     @pytest.mark.parametrize("priority, sign", [(2, NU), (3, MU)])
     def test_single_priority_is_one_block(self, priority, sign):
         aut = with_priorities((priority,))
-        assert trace._compact_blocks(aut, False) == ([(f"s{priority}",)], [sign], {f"s{priority}": 1})
+        assert trace._compact_blocks(aut, False, aut.states) == (
+            [(f"s{priority}",)], [sign], {f"s{priority}": 1}
+        )
 
     def test_decorated_is_one_nu_block(self):
         aut = with_priorities((8, 1, 4, 3, 6))
-        partition, signs, block_of = trace._compact_blocks(aut, True)
+        partition, signs, block_of = trace._compact_blocks(aut, True, aut.states)
         assert partition == [("s1", "s3", "s4", "s6", "s8")]
         assert signs == [NU]
         assert set(block_of.values()) == {1}
@@ -919,7 +921,42 @@ class TestCone:
     """Membership solves the compacted system over the states of the cone
     of (x, root) only: the pairs that the input can drive a run into.  The
     verdicts equal the literal system's and the oracles', and ``widths``
-    count exactly the cone's states."""
+    count exactly the cone's states.
+
+    Besides random inputs, each differential runs fixed edge shapes of the
+    generator, whose child slots the walk reads off the predecessor maps:
+    one-position lassos (the wrap is a shift by 0), cycles of length 1
+    after a stem, and trees whose child slots have several distinct right
+    and left offsets, a shift by 0, and nullary leaves."""
+
+    EDGE_LASSOS = (";a", ";c", "ab;c", "c;a", "bc;b", "abc;a")
+    EDGE_TREES = (
+        RegularTreeRep({"n0": ("c", ())}, "n0"),
+        RegularTreeRep(
+            {
+                "n0": ("c", ()),
+                "n1": ("g", ("n3",)),
+                "n2": ("h", ("n0", "n4")),
+                "n3": ("f", ("n2", "n0")),
+                "n4": ("f", ("n1", "n4")),
+                "n5": ("h", ("n4", "n2")),
+            },
+            "n5",
+        ),
+        RegularTreeRep(
+            {"r": ("f", ("a", "b")), "a": ("h", ("c1", "b")), "b": ("g", ("r",)), "c1": ("c", ())},
+            "r",
+        ),
+    )
+    EDGE_DRAWS = 20
+
+    def test_edge_tree_offsets(self):
+        t = self.EDGE_TREES[1]
+        index = {n: i for i, n in enumerate(t.node_ids())}
+        children = [tuple(index[c] for c in t.children(n)) for n in t.node_ids()]
+        (right0, left0), (right1, left1) = trace.predecessor_maps(children)
+        assert sorted(d for d, _ in right0) == [2] and sorted(d for d, _ in left0) == [1, 2, 3]
+        assert sorted(d for d, _ in right1) == [0, 2] and sorted(d for d, _ in left1) == [3]
 
     def test_appendix_cone_leaves_out_z(self):
         # z is reachable only on c, which a;bab never reads
@@ -930,16 +967,17 @@ class TestCone:
         assert v.value is True and literal_verdict(aut, "x", w) is True
         assert v.stats.widths == (1, 1)
         assert len(v.stats.iterations) == 2
-        assert len(trace._compact_blocks(aut, False)[0]) == 3
+        assert len(trace._compact_blocks(aut, False, aut.states)[0]) == 3
         assert len(build_restricted_hes(aut, w).hes) == 4
 
     def test_lassos_match_literal_system_and_product_graph(self):
         rng = random.Random(808)
         verdicts, smaller = [], 0
-        for i in range(400):
+        edges = [parse_lasso(e) for e in self.EDGE_LASSOS for _ in range(self.EDGE_DRAWS)]
+        for i in range(400 + len(edges)):
             aut = hidden_word_automaton(rng)
             x = rng.choice(aut.states)
-            w = random_lasso("ab" if i % 3 else "abc", 3, 4, rng)
+            w = random_lasso("ab" if i % 3 else "abc", 3, 4, rng) if i < 400 else edges[i - 400]
             cone = reference_cone(aut, x, w)
             smaller += len(cone) < len(aut.states)
             v = parity_trace_membership(aut, x, w)
@@ -958,11 +996,15 @@ class TestCone:
         # arbitrary decorations, most of them unrealisable
         rng = random.Random(809)
         verdicts = []
-        for i in range(300):
+        edges = [parse_lasso(e) for e in self.EDGE_LASSOS for _ in range(self.EDGE_DRAWS)]
+        for i in range(300 + len(edges)):
             aut = hidden_word_automaton(rng)
             x = rng.choice(aut.states)
             used = sorted(set(aut.priorities.values()))
-            plain = random_lasso("ab" if i % 3 else "abc", 2, 3, rng)
+            if i < 300:
+                plain = random_lasso("ab" if i % 3 else "abc", 2, 3, rng)
+            else:
+                plain = edges[i - 300]
             xi = DecoratedLassoWord(
                 tuple((a, rng.choice(used)) for a in plain.stem),
                 tuple((a, rng.choice(used)) for a in plain.cycle),
@@ -978,10 +1020,14 @@ class TestCone:
         alphabet = RankedAlphabet([("f", 2), ("g", 1), ("h", 2), ("c", 0)])
         without_h = RankedAlphabet([("f", 2), ("g", 1), ("c", 0)])
         verdicts, smaller = [], 0
-        for i in range(200):
+        edges = [t for t in self.EDGE_TREES for _ in range(self.EDGE_DRAWS)]
+        for i in range(200 + len(edges)):
             aut = hidden_tree_automaton(rng, alphabet)
             x = rng.choice(aut.states)
-            t = wide_tree(rng, rng.randint(3, 16), without_h if i % 3 else alphabet)
+            if i < 200:
+                t = wide_tree(rng, rng.randint(3, 16), without_h if i % 3 else alphabet)
+            else:
+                t = edges[i - 200]
             cone = reference_cone(aut, x, t)
             smaller += len(cone) < len(aut.states)
             v = tree_language_membership(aut, x, t)
