@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -671,32 +671,26 @@ def _from_json(doc: dict):
 _LETTERS = "abcdefgh"
 
 
-@dataclass(frozen=True)
-class WordGenParams:
-    n_states: int = 4
-    n_letters: int = 2
-    two_n: int = 4
-    density: float = 0.5
-    final_prob: float = 0.0
+class WordGenParams(
+    namedtuple("WordGenParams", "n_states n_letters two_n density final_prob", defaults=(4, 2, 4, 0.5, 0.0))
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TreeGenParams:
-    n_states: int = 4
-    n_symbols: int = 3
-    max_arity: int = 2
-    two_n: int = 4
-    density: float = 0.4
+class TreeGenParams(
+    namedtuple("TreeGenParams", "n_states n_symbols max_arity two_n density", defaults=(4, 3, 2, 4, 0.4))
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DetGenParams:
-    n_states: int = 4
-    n_symbols: int = 2
-    max_arity: int = 2
-    two_n: int = 4
-    undefined_prob: float = 0.2
-    word: bool = False
+class DetGenParams(
+    namedtuple(
+        "DetGenParams",
+        "n_states n_symbols max_arity two_n undefined_prob word",
+        defaults=(4, 2, 2, 4, 0.2, False),
+    )
+):
+    __slots__ = ()
 
 
 def _rng(seed) -> random.Random:

@@ -8,11 +8,9 @@ and exceeded limits (size caps, the iteration budget).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
-from . import harness as harness_mod
 from . import hes as hes_mod
 from . import oracle as oracle_mod
 from . import trace as trace_mod
@@ -241,22 +239,30 @@ def _cmd_check_decorated(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from dataclasses import replace
+
+    from . import harness as harness_mod
+
+    cfg = harness_mod.CampaignConfig()
     if args.config:
         try:
-            doc = json.loads(_read(args.config))
+            cfg = harness_mod.CampaignConfig.from_json(json.loads(_read(args.config)))
         except json.JSONDecodeError as exc:
-            raise harness_mod.ConfigError(f"{args.config}: not valid JSON: {exc}") from None
-        cfg = harness_mod.CampaignConfig.from_json(doc)
-    else:
-        cfg = harness_mod.CampaignConfig()
+            print(f"error: {args.config}: not valid JSON: {exc}", file=sys.stderr)
+            return USAGE_EXIT
+        except harness_mod.ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_EXIT
     if args.trials is not None:
-        cfg = dataclasses.replace(cfg, trials=args.trials)
+        cfg = replace(cfg, trials=args.trials)
     report = harness_mod.campaign(cfg, args.seed)
     _emit(args, report.summary(), report.to_json())
     return 0 if report.ok else DISAGREE_EXIT
 
 
 def _cmd_pinned(args) -> int:
+    from . import harness as harness_mod
+
     report = harness_mod.pinned_suite()
     _emit(args, report.summary(), report.to_json())
     return 0 if report.ok else DISAGREE_EXIT
@@ -338,7 +344,6 @@ def main(argv=None) -> int:
         ParseError,
         InputError,
         hes_mod.HesFormatError,
-        harness_mod.ConfigError,
         UnreadableFileError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

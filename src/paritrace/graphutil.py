@@ -93,10 +93,10 @@ def cycle_with_max_parity(
 
     A cycle with maximum q exists iff, among vertices of priority <= q,
     some SCC both contains a priority-q vertex and carries a cycle.
-    Returns ``(v, scc, sub_succ)``: a vertex ``v`` of priority q on such a
-    cycle, its SCC, and ``succ`` restricted to the vertices of priority
-    <= q, in which the SCC is strongly connected.  Returns None when no
-    such cycle exists.
+    Returns ``(v, scc, sub_succ)``: the first vertex ``v`` of priority q
+    of such an SCC in the order of ``vertices``, the SCC, and ``succ``
+    restricted to the vertices of priority <= q, in which the SCC is
+    strongly connected.  Returns None when no such cycle exists.
     """
     vertices = list(vertices)
     prios = sorted({priority(v) for v in vertices if priority(v) % 2 == parity}, reverse=True)
@@ -105,11 +105,9 @@ def cycle_with_max_parity(
         subset = set(sub)
         sub_succ = {v: [w for w in succ.get(v, ()) if w in subset] for v in sub}
         for scc in strongly_connected_components(sub, sub_succ):
-            if not _has_internal_cycle(scc, sub_succ):
-                continue
-            for v in scc:
-                if priority(v) == q:
-                    return v, scc, sub_succ
+            if _has_internal_cycle(scc, sub_succ) and any(priority(v) == q for v in scc):
+                v = next(v for v in sub if v in scc and priority(v) == q)
+                return v, scc, sub_succ
     return None
 
 

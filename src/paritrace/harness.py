@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from . import hes as hes_module
 from .automata import (
+    _LETTERS,
     DetGenParams,
     ParityWordAutomaton,
     TreeGenParams,
@@ -48,6 +49,7 @@ from .oracle import (
 )
 from .trace import (
     BOTTOM,
+    MAX_ENUM_WORDS,
     buchi_trace_membership,
     build_restricted_hes,
     decorated_trace_membership,
@@ -120,7 +122,16 @@ class CampaignConfig:
                 raise ConfigError(f"finite_maxlen must be <= {MAX_FINITE_LEN}, got {value}")
         if "properties" in doc:
             doc = dict(doc, properties=tuple(doc["properties"]))
-        return cls(**doc)
+        cfg = cls(**doc)
+        if "finite-traces" in (cfg.properties or PROPERTIES):
+            letters = min(cfg.max_letters, len(_LETTERS))
+            words = sum(letters**i for i in range(cfg.finite_maxlen + 1))
+            if words > MAX_ENUM_WORDS:
+                raise ConfigError(
+                    f"finite-traces over {letters} letters up to length {cfg.finite_maxlen} "
+                    f"enumerates {words} words, above the cap of {MAX_ENUM_WORDS}"
+                )
+        return cfg
 
 
 class ConfigError(ValueError):

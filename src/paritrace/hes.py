@@ -17,16 +17,14 @@ duration of the call: a body reads it and must neither keep nor mutate it.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from operator import and_, or_
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .lattice import (
     MU,
     NU,
-    FiniteLattice,
     IterationBudgetError,
     MonotonicityError,
     PowersetLattice,
@@ -43,9 +41,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Equation:
-    """One signed equation ``var =sign body`` over ``lattice``.
+class Equation(namedtuple("Equation", "var lattice sign body")):
+    """One signed equation ``var =sign body`` over the FiniteLattice
+    ``lattice``.
 
     ``body`` receives the full assignment (values for *all* equations, in
     system order) as a sequence that is valid only during the call; it must
@@ -53,14 +51,12 @@ class Equation:
     coordinate.
     """
 
-    var: str
-    lattice: FiniteLattice
-    sign: str
-    body: Callable[[Sequence], Any]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (MU, NU):
-            raise ValueError(f"equation sign must be 'mu' or 'nu', got {self.sign!r}")
+    def __new__(cls, var, lattice, sign, body):
+        if sign not in (MU, NU):
+            raise ValueError(f"equation sign must be 'mu' or 'nu', got {sign!r}")
+        return super().__new__(cls, var, lattice, sign, body)
 
 
 class HierEqSystem:
@@ -90,19 +86,30 @@ class HierEqSystem:
         )
 
 
-@dataclass
 class Solution:
     """Solved assignment plus per-equation iteration statistics.
 
     ``iterations[i]`` is the total number of strict Kleene steps spent on
     equation ``i`` across all inner re-solves; ``body_evals`` counts body
     evaluations.  Both are deterministic for identical inputs.
+    ``variables`` names the equations, in system order.
     """
 
-    assignment: tuple
-    iterations: tuple[int, ...]
-    body_evals: int
-    variables: tuple[str, ...]
+    __slots__ = ("assignment", "iterations", "body_evals", "variables")
+
+    def __init__(self, assignment: tuple, iterations: tuple, body_evals: int, variables: tuple):
+        self.assignment = assignment
+        self.iterations = iterations
+        self.body_evals = body_evals
+        self.variables = variables
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"Solution({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     def __getitem__(self, var: str) -> Any:
         return self.assignment[self.variables.index(var)]

@@ -8,14 +8,9 @@ The one Kleene loop that iterates over them is the nested solver in
 
 from __future__ import annotations
 
-import itertools
 import os
 from abc import ABC, abstractmethod
-from typing import Any, Iterator
-
-#: Default cap on the number of *elements* a lattice may have before
-#: exhaustive enumeration (and hence brute-force fixpoint search) refuses.
-MAX_ENUM = 256
+from typing import Any
 
 
 def default_iteration_budget() -> int:
@@ -67,8 +62,7 @@ class FiniteLattice(ABC):
     """A finite complete lattice over hashable, immutable elements.
 
     Concrete subclasses fix an element representation and implement the
-    order-theoretic primitives; everything else (fixpoints, enumeration
-    checks, sampling) is generic.
+    order-theoretic primitives.
     """
 
     @property
@@ -95,17 +89,6 @@ class FiniteLattice(ABC):
     @abstractmethod
     def height(self) -> int:
         """Length (number of strict steps) of the longest chain."""
-
-    @abstractmethod
-    def _iter_elements(self) -> Iterator[Any]: ...
-
-    def elements(self, max_size: int = MAX_ENUM) -> Iterator[Any]:
-        """Exhaustively enumerate elements; refuses above ``max_size``."""
-        if self.size() > max_size:
-            raise LatticeTooLargeError(
-                f"lattice has {self.size()} elements, enumeration capped at {max_size}"
-            )
-        return self._iter_elements()
 
 
 class PowersetLattice(FiniteLattice):
@@ -148,9 +131,6 @@ class PowersetLattice(FiniteLattice):
 
     def height(self) -> int:
         return len(self.ground)
-
-    def _iter_elements(self) -> Iterator[int]:
-        return iter(range(self._top + 1))
 
     def _indices(self) -> dict:
         if self._index is None:
@@ -220,10 +200,6 @@ class FunctionLattice(FiniteLattice):
 
     def height(self) -> int:
         return self.codomain.height() * len(self.domain)
-
-    def _iter_elements(self) -> Iterator[tuple]:
-        pools = [list(self.codomain._iter_elements()) for _ in self.domain]
-        return (tuple(combo) for combo in itertools.product(*pools))
 
     def index(self, d: Any) -> int:
         return self._index[d]

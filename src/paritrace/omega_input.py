@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any, Iterator, Mapping, Sequence
 
 from .automata import ParseError, RankedAlphabet
@@ -67,16 +67,16 @@ class DecorationError(Exception):
 # Lasso words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LassoWord:
-    """The ultimately periodic word ``stem . cycle^omega``."""
+class LassoWord(namedtuple("LassoWord", "stem cycle")):
+    """The ultimately periodic word ``stem . cycle^omega``: a tuple of
+    letters ``stem`` and a nonempty tuple of letters ``cycle``."""
 
-    stem: tuple[str, ...]
-    cycle: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.cycle:
+    def __new__(cls, stem, cycle):
+        if not cycle:
             raise InputError("lasso cycle must be nonempty")
+        return super().__new__(cls, stem, cycle)
 
     @property
     def n_positions(self) -> int:
@@ -95,19 +95,18 @@ class LassoWord:
         return format_lasso(self)
 
 
-@dataclass(frozen=True)
-class DecoratedLassoWord:
+class DecoratedLassoWord(namedtuple("DecoratedLassoWord", "stem cycle")):
     """A lasso over letter/priority pairs; the grade is the first priority."""
 
-    stem: tuple[tuple[str, int], ...]
-    cycle: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.cycle:
+    def __new__(cls, stem, cycle):
+        if not cycle:
             raise InputError("lasso cycle must be nonempty")
-        for (sym, p) in self.stem + self.cycle:
+        for (sym, p) in stem + cycle:
             if not isinstance(p, int) or p < 1:
                 raise InputError(f"priority must be a positive int, got {p!r} on {sym!r}")
+        return super().__new__(cls, stem, cycle)
 
     @property
     def grade(self) -> int:
@@ -273,16 +272,15 @@ def delst(xi: DecoratedRegularTreeRep) -> RegularTreeRep:
 # Runs and decoration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunLasso:
-    """A run of a word automaton over a lasso, as (letter, state) pairs.
+class RunLasso(namedtuple("RunLasso", "stem cycle")):
+    """A run of a word automaton over a lasso, as tuples ``stem`` and
+    ``cycle`` of (letter, state) pairs.
 
     Each pair records the state a letter is read *from*, so the decoration
     of position i is the priority of the i-th state of the run.
     """
 
-    stem: tuple[tuple[str, str], ...]
-    cycle: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
     def word(self) -> LassoWord:
         return LassoWord(tuple(a for a, _ in self.stem), tuple(a for a, _ in self.cycle))

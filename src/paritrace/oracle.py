@@ -9,7 +9,7 @@ routes is evidence, not tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .automata import (
     AutomatonError,
@@ -41,12 +41,10 @@ __all__ = [
 MAX_FINITE_LEN = 8
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    """Boolean verdict plus, when positive, a run witnessing it."""
+class OracleVerdict(namedtuple("OracleVerdict", "value run", defaults=(None,))):
+    """Boolean verdict ``value`` plus, when positive, a ``run`` witnessing it."""
 
-    value: bool
-    run: object = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.value
@@ -58,7 +56,8 @@ class ProductGraph:
     Vertices are (state, position) pairs; edges follow transitions whose
     letter matches the position's letter; each vertex inherits its state's
     priority.  Infinite paths from (x, 0) are exactly the runs over the
-    lasso from x.
+    lasso from x.  ``vertices`` keeps them in discovery order, so the
+    witness run does not depend on the string hash seed.
     """
 
     def __init__(self, aut: ParityWordAutomaton, w: LassoWord, start_state: str):
@@ -69,7 +68,7 @@ class ProductGraph:
         self.start = (start_state, 0)
         succ: dict[tuple[str, int], list[tuple[str, int]]] = {}
         frontier = [self.start]
-        seen = {self.start}
+        seen = {self.start: None}
         while frontier:
             v = frontier.pop()
             y, p = v
@@ -78,7 +77,7 @@ class ProductGraph:
             succ[v] = targets
             for u in targets:
                 if u not in seen:
-                    seen.add(u)
+                    seen[u] = None
                     frontier.append(u)
         self.succ = succ
         self.vertices = seen
@@ -146,12 +145,13 @@ class ParityGame:
         return self.owner.keys()
 
 
-@dataclass
-class GameSolution:
-    exists_region: frozenset
-    forall_region: frozenset
-    exists_strategy: dict
-    forall_strategy: dict
+class GameSolution(
+    namedtuple("GameSolution", "exists_region forall_region exists_strategy forall_strategy")
+):
+    """Winning regions (frozensets) and positional strategies (dicts) of
+    both players."""
+
+    __slots__ = ()
 
 
 def _attract(

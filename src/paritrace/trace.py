@@ -31,7 +31,7 @@ dropped and adjacent classes of one sign share an equation
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -116,15 +116,11 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(namedtuple("SolveStats", "iterations body_evals positions widths")):
     """Deterministic counters of one solve: Kleene steps per equation, body
     evaluations, generator positions and states per equation."""
 
-    iterations: tuple[int, ...]
-    body_evals: int
-    positions: int
-    widths: tuple[int, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -135,10 +131,10 @@ class SolveStats:
         }
 
 
-@dataclass
-class MembershipVerdict:
-    value: bool
-    stats: SolveStats
+class MembershipVerdict(namedtuple("MembershipVerdict", "value stats")):
+    """Boolean verdict ``value`` plus the SolveStats of the solve behind it."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.value
@@ -765,15 +761,14 @@ def det_exception_behavior(aut: DeterministicExceptionAutomaton, x: str):
     return xi
 
 
-@dataclass
-class FlatteningReport:
-    """Outcome of comparing plain membership with decorated-witness existence."""
+class FlatteningReport(
+    namedtuple("FlatteningReport", "agree membership witness_found witness checks")
+):
+    """Outcome of comparing plain membership with decorated-witness existence:
+    the witness is a DecoratedLassoWord or None, and ``checks`` maps each
+    re-verification of it to its result."""
 
-    agree: bool
-    membership: bool
-    witness_found: bool
-    witness: DecoratedLassoWord | None
-    checks: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

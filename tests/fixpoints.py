@@ -1,6 +1,7 @@
-"""Lattice code that only the tests use: a product lattice, a plain Kleene
-loop with its least/greatest fixpoints, enumeration- and sampling-based
-oracles, powerset singletons, and white-box access to the nested solver's
+"""Lattice code that only the tests use: a product lattice, capped
+enumeration of a lattice's elements, a plain Kleene loop with its
+least/greatest fixpoints, enumeration- and sampling-based oracles,
+powerset singletons, and white-box access to the nested solver's
 intermediate solutions.  The Kleene loop is independent of the nested
 solver in ``paritrace.hes``, so the tests can compare the two."""
 
@@ -12,17 +13,21 @@ from typing import Any, Callable, Iterator, Sequence
 
 from paritrace.hes import HierEqSystem, _Solver
 from paritrace.lattice import (
-    MAX_ENUM,
     MU,
     NU,
     FiniteLattice,
     FunctionLattice,
     IterationBudgetError,
     LatticeError,
+    LatticeTooLargeError,
     MonotonicityError,
     PowersetLattice,
     default_iteration_budget,
 )
+
+#: Default cap on the number of *elements* a lattice may have before
+#: exhaustive enumeration (and hence brute-force fixpoint search) refuses.
+MAX_ENUM = 256
 
 
 class NoExtremalFixpointError(LatticeError):
@@ -63,12 +68,27 @@ class ProductLattice(FiniteLattice):
     def height(self) -> int:
         return sum(c.height() for c in self.components)
 
-    def _iter_elements(self) -> Iterator[tuple]:
-        pools = [list(c._iter_elements()) for c in self.components]
-        return (tuple(combo) for combo in itertools.product(*pools))
-
     def __repr__(self) -> str:
         return f"ProductLattice({list(self.components)!r})"
+
+
+def elements(lat: FiniteLattice, max_size: int = MAX_ENUM) -> Iterator[Any]:
+    """Exhaustively enumerate the elements of ``lat``; refuses above ``max_size``."""
+    if lat.size() > max_size:
+        raise LatticeTooLargeError(
+            f"lattice has {lat.size()} elements, enumeration capped at {max_size}"
+        )
+    return _iter_elements(lat)
+
+
+def _iter_elements(lat: FiniteLattice) -> Iterator[Any]:
+    if isinstance(lat, PowersetLattice):
+        return iter(range(lat.top + 1))
+    if isinstance(lat, FunctionLattice):
+        pools = [list(_iter_elements(lat.codomain))] * len(lat.domain)
+    else:
+        pools = [list(_iter_elements(c)) for c in lat.components]
+    return (tuple(combo) for combo in itertools.product(*pools))
 
 
 def kleene_fixpoint(
@@ -136,7 +156,7 @@ def brute_force_extremal_fixpoint(
     """
     if which not in ("least", "greatest"):
         raise ValueError(f"which must be 'least' or 'greatest', got {which!r}")
-    fixpoints = [x for x in lat.elements(max_size=max_size) if f(x) == x]
+    fixpoints = [x for x in elements(lat, max_size) if f(x) == x]
     if not fixpoints:
         raise NoExtremalFixpointError("no fixpoint found (non-monotone body?)")
     if which == "least":
@@ -167,7 +187,7 @@ def check_monotone_on_samples(
     """
     out = out if out is not None else lat
     if lat.size() ** 2 <= budget:
-        elems = list(lat.elements())
+        elems = list(elements(lat))
         pairs = ((a, b) for a in elems for b in elems if lat.leq(a, b))
     else:
         rng = random.Random(seed)
@@ -197,7 +217,7 @@ def _sample_elements(lat: FiniteLattice, rng: random.Random, n: int) -> list:
     if isinstance(lat, ProductLattice):
         pools = [_sample_elements(c, rng, n) for c in lat.components]
         return [tuple(rng.choice(p) for p in pools) for _ in range(n)]
-    return list(itertools.islice(lat._iter_elements(), n)) + [lat.bottom, lat.top]
+    return list(itertools.islice(_iter_elements(lat), n)) + [lat.bottom, lat.top]
 
 
 def singleton(lat: PowersetLattice, item: Any) -> int:

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +352,8 @@ class TestBadFiles:
             '{"mutation": "flip-everything"}',
             # above the oracle's enumeration cap, on words few enough for the engine
             '{"finite_maxlen": 9, "max_letters": 1, "properties": ["finite-traces"], "trials": 1}',
+            # 9,841 words over 3 letters up to length 8, above the engine's 4,096
+            '{"finite_maxlen": 8, "max_letters": 3, "properties": ["finite-traces"]}',
         ],
     )
     def test_bad_fuzz_config(self, capsys, tmp_path, text):
@@ -383,6 +389,13 @@ class TestBadFiles:
     def test_good_fuzz_config(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"trials": 2, "properties": ["engine-vs-oracle"], "mutation": null}')
+        code, out, _ = run(capsys, ["fuzz", "--config", str(path)])
+        assert code == 0 and "trials=2" in out
+
+    def test_finite_traces_config_within_cap(self, capsys, tmp_path):
+        # 3,280 words over 3 letters up to length 7, within the engine's 4,096
+        path = tmp_path / "cfg.json"
+        path.write_text('{"trials": 2, "finite_maxlen": 7, "max_letters": 3, "properties": ["finite-traces"]}')
         code, out, _ = run(capsys, ["fuzz", "--config", str(path)])
         assert code == 0 and "trials=2" in out
 
@@ -493,7 +506,45 @@ class TestLimits:
         assert "--max-len" in err and "Traceback" not in err
 
 
-SAMPLES = __import__("pathlib").Path(__file__).parent.parent / "samples"
+SAMPLES = Path(__file__).parent.parent / "samples"
+
+
+def cold_run(args, hash_seed="0", expect=0):
+    """Run ``python <args>`` in a fresh process with this paritrace importable;
+    return its stdout after checking its exit code."""
+    import paritrace
+
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(paritrace.__file__).parent.parent),
+        PYTHONHASHSEED=hash_seed,
+    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == expect, proc.stderr
+    return proc.stdout
+
+
+class TestColdStart:
+    """A cold command imports only what it runs; the rest loads on use."""
+
+    def test_cli_import_skips_unused_modules(self):
+        probe = (
+            "import sys; before = set(sys.modules); import paritrace.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'paritrace.harness'} & (set(sys.modules) - before)))"
+        )
+        assert cold_run(["-c", probe]).decode().strip() == "[]"
+
+    def test_submodules_load_on_first_access(self):
+        probe = (
+            "import sys, paritrace; "
+            "assert 'paritrace.harness' not in sys.modules; "
+            "print(paritrace.harness.__name__)"
+        )
+        assert cold_run(["-c", probe]).decode().strip() == "paritrace.harness"
+        import paritrace
+
+        with pytest.raises(AttributeError):
+            paritrace.no_such_module
 
 
 @pytest.mark.skipif(not SAMPLES.exists(), reason="samples directory not present")
@@ -536,6 +587,21 @@ class TestShippedCorpus:
             ],
         )
         assert code == 0 and out == "true"
+
+    def test_witness_does_not_depend_on_hash_seed(self):
+        argv = ["-m", "paritrace.cli", "witness", str(SAMPLES / "appendix.aut"),
+                "--state", "x", "--lasso", "a;bab", "--json"]
+        outs = {seed: cold_run(argv, seed) for seed in ("0", "1", "2")}
+        assert outs["0"] == outs["1"] == outs["2"], outs
+
+    def test_tree_violation_does_not_depend_on_hash_seed(self, tmp_path):
+        # every node of the cycle has the odd maximum; the message names the first
+        tree = tmp_path / "odd.dtree"
+        tree.write_text("decorated-tree\nroot: n0\nnode n0 = f:3(n1);\nnode n1 = f:3(n2);\nnode n2 = f:3(n0);\n")
+        argv = ["-m", "paritrace.cli", "check-decorated", str(tree), "--json"]
+        outs = {seed: cold_run(argv, seed, expect=1) for seed in ("0", "1", "2", "3")}
+        assert len(set(outs.values())) == 1, outs
+        assert "at node 'n0'" in outs["0"].decode()
 
     def test_det_sample(self, capsys):
         code, out, _ = run(capsys, ["det-run", str(SAMPLES / "det.aut"), "--state", "x"])

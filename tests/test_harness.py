@@ -5,6 +5,7 @@ import pytest
 from paritrace.harness import (
     PROPERTIES,
     CampaignConfig,
+    ConfigError,
     campaign,
     pinned_suite,
 )
@@ -54,6 +55,14 @@ class TestCampaign:
     def test_config_from_json(self):
         cfg = CampaignConfig.from_json({"trials": 7, "mutation": "flip-signs"})
         assert cfg.trials == 7 and cfg.mutation == "flip-signs"
+
+    @pytest.mark.parametrize("properties", [["finite-traces"], []])
+    def test_config_from_json_rejects_finite_traces_above_cap(self, properties):
+        doc = {"finite_maxlen": 8, "max_letters": 3, "properties": properties}
+        with pytest.raises(ConfigError, match="9841 words.*4096"):
+            CampaignConfig.from_json(doc)
+        # the cap binds only the finite-traces property
+        CampaignConfig.from_json(dict(doc, properties=["engine-vs-oracle"]))
 
 
 class TestMutationSmoke:

@@ -8,6 +8,7 @@ from brute import brute_solve
 from fixpoints import (
     ProductLattice,
     check_monotone_on_samples,
+    elements,
     intermediate,
     kleene_gfp,
     kleene_lfp,
@@ -275,7 +276,7 @@ class TestMakePhiBody:
         # every position is its own only child, and x must hold there
         preds = predecessor_maps([(0,), (1,), (2,)])
         body = make_phi_body([[(((0, 0),), 0b111)]], preds, widths=(1,))
-        for elem in carrier.elements(max_size=512):
+        for elem in elements(carrier, max_size=512):
             assert body((elem,)) == elem
 
     def test_dimension_mismatch(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from paritrace import graphutil, trace
+from paritrace import hes as hes_mod
 from paritrace import oracle as oracle_mod
 from paritrace.automata import (
     BuchiWordAutomaton,
@@ -20,13 +21,16 @@ from paritrace.automata import (
     random_word_automaton,
 )
 from paritrace.harness import appendix_automaton, intro_automaton
-from paritrace.lattice import MU, NU
+from paritrace.hes import Equation
+from paritrace.lattice import MU, NU, PowersetLattice
 from paritrace.omega_input import (
     DecoratedLassoWord,
     DecoratedRegularTreeRep,
     DecorationError,
+    InputError,
     LassoWord,
     RegularTreeRep,
+    RunLasso,
     all_lassos,
     decorate_run,
     normalize,
@@ -40,7 +44,10 @@ from paritrace.oracle import lasso_acceptance, tree_membership_oracle
 from paritrace.trace import (
     BOTTOM,
     AlphabetMismatchError,
+    FlatteningReport,
     GradeMismatchError,
+    MembershipVerdict,
+    SolveStats,
     build_restricted_hes,
     buchi_trace_membership,
     decorated_trace_membership,
@@ -1161,3 +1168,59 @@ class TestLassoPredecessorMaps:
         assert buchi_trace_membership(buchi, "x", parse_lasso(";ba")).value
         assert not buchi_trace_membership(buchi, "x", parse_lasso("b;a")).value
         assert infinitary_trace_membership(aut, "x", parse_lasso("b;a"))
+
+
+class TestValueClasses:
+    """The value records are read-only tuples that keep their checks, truth
+    values, equality and hashing."""
+
+    def test_truth_is_the_verdict(self):
+        stats = SolveStats((), 0, 1, ())
+        for value in (True, False):
+            assert bool(MembershipVerdict(value, stats)) is value
+            assert bool(oracle_mod.OracleVerdict(value)) is value
+
+    def test_fields_are_read_only(self):
+        records = [
+            LassoWord((), ("a",)),
+            DecoratedLassoWord((), (("a", 2),)),
+            RunLasso((), (("a", "x"),)),
+            SolveStats((1,), 2, 3, (4,)),
+            MembershipVerdict(True, SolveStats((1,), 2, 3, (4,))),
+            oracle_mod.OracleVerdict(False),
+            FlatteningReport(True, False, False, None, {}),
+            WordGenParams(),
+            Equation("u1", PowersetLattice(()), MU, lambda a: 0),
+        ]
+        for record in records:
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], None)
+
+    def test_equality_and_hashing(self):
+        makers = [
+            lambda: LassoWord(("a",), ("b",)),
+            lambda: DecoratedLassoWord((("a", 1),), (("b", 2),)),
+            lambda: RunLasso((), (("a", "x"),)),
+            lambda: SolveStats((1, 2), 3, 4, (5, 6)),
+        ]
+        for make in makers:
+            a, b = make(), make()
+            assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert LassoWord(("a",), ("b",)) != LassoWord((), ("a", "b"))
+        assert SolveStats((1,), 2, 3, (4,)) != SolveStats((1,), 2, 3, (5,))
+
+    def test_construction_checks(self):
+        with pytest.raises(InputError):
+            LassoWord(("a",), ())
+        with pytest.raises(InputError):
+            DecoratedLassoWord((("a", 1),), ())
+        with pytest.raises(InputError):
+            DecoratedLassoWord((), (("a", 0),))
+        with pytest.raises(ValueError):
+            Equation("u1", PowersetLattice(()), "lfp", lambda a: 0)
+
+    def test_solution_equality_and_repr(self):
+        system = build_restricted_hes(intro_automaton(), parse_lasso(";ba"), "ordinary").hes
+        a, b = hes_mod.solve(system), hes_mod.solve(system)
+        assert a == b and a["u1"] == a.assignment[0]
+        assert repr(a) == repr(b) and repr(a).startswith("Solution(assignment=")
