@@ -697,11 +697,17 @@ def _rng(seed) -> random.Random:
     return random.Random(seed)
 
 
+def _letters(n: int) -> list:
+    if n > len(_LETTERS):
+        raise ValueError(f"at most {len(_LETTERS)} letters, got {n}")
+    return list(_LETTERS[:n])
+
+
 def random_word_automaton(params: WordGenParams, seed) -> ParityWordAutomaton:
     """Seed-deterministic random parity word automaton within the bounds."""
     rng = _rng(seed)
     states = [f"s{i}" for i in range(params.n_states)]
-    alphabet = list(_LETTERS[: params.n_letters])
+    alphabet = _letters(params.n_letters)
     transitions = [
         (x, a, y)
         for x in states
@@ -717,7 +723,7 @@ def random_word_automaton(params: WordGenParams, seed) -> ParityWordAutomaton:
 def random_buchi_automaton(params: WordGenParams, seed) -> BuchiWordAutomaton:
     rng = _rng(seed)
     states = [f"s{i}" for i in range(params.n_states)]
-    alphabet = list(_LETTERS[: params.n_letters])
+    alphabet = _letters(params.n_letters)
     transitions = [
         (x, a, y)
         for x in states
@@ -755,7 +761,7 @@ def random_det_exception_automaton(params: DetGenParams, seed) -> DeterministicE
     rng = _rng(seed)
     states = [f"s{i}" for i in range(params.n_states)]
     if params.word:
-        alphabet = RankedAlphabet([(a, 1) for a in _LETTERS[: params.n_symbols]])
+        alphabet = RankedAlphabet([(a, 1) for a in _letters(params.n_symbols)])
     else:
         alphabet = random_ranked_alphabet(params.n_symbols, params.max_arity, rng)
     delta = {}

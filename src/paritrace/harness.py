@@ -120,15 +120,16 @@ class CampaignConfig:
                 )
             elif key == "finite_maxlen" and value > MAX_FINITE_LEN:
                 raise ConfigError(f"finite_maxlen must be <= {MAX_FINITE_LEN}, got {value}")
+            elif key == "max_letters" and value > len(_LETTERS):
+                raise ConfigError(f"max_letters must be <= {len(_LETTERS)}, got {value}")
         if "properties" in doc:
             doc = dict(doc, properties=tuple(doc["properties"]))
         cfg = cls(**doc)
         if "finite-traces" in (cfg.properties or PROPERTIES):
-            letters = min(cfg.max_letters, len(_LETTERS))
-            words = sum(letters**i for i in range(cfg.finite_maxlen + 1))
+            words = sum(cfg.max_letters**i for i in range(cfg.finite_maxlen + 1))
             if words > MAX_ENUM_WORDS:
                 raise ConfigError(
-                    f"finite-traces over {letters} letters up to length {cfg.finite_maxlen} "
+                    f"finite-traces over {cfg.max_letters} letters up to length {cfg.finite_maxlen} "
                     f"enumerates {words} words, above the cap of {MAX_ENUM_WORDS}"
                 )
         return cfg
@@ -494,6 +495,8 @@ def _prop_det_exception(cfg: CampaignConfig, seed: int, index: int) -> str | Non
         undefined_prob=rng.uniform(0.0, 0.4),
         word=rng.random() < 0.5,
     )
+    if params.word and params.n_symbols > len(_LETTERS):  # a redraw keeps it uniform
+        params = params._replace(n_symbols=rng.randint(1, len(_LETTERS)))
     aut = random_det_exception_automaton(params, rng.random())
     state = rng.choice(aut.states)
     got = det_exception_behavior(aut, state)

@@ -141,9 +141,9 @@ class _Solver:
     solution to its new start.  So ``up`` and ``down`` are carried down the
     restart with one comparison per level.  The solver keeps no table of
     solved levels, since two runs of one level never see the same outer
-    arguments; a body may still keep the last image of each input it reads
-    (``trace.make_phi_body`` does), as most of the assignment is the same
-    object from one evaluation to the next.
+    arguments; a body may still keep the last image of an input it reads
+    (``trace.make_phi_body`` does for a tree's keyed terms), as most of the
+    assignment is the same object from one evaluation to the next.
     """
 
     def __init__(self, hes: HierEqSystem, budget: int | None, warm_start: bool = True):
@@ -162,55 +162,60 @@ class _Solver:
     def prefix(self, top: int, args: tuple) -> tuple:
         """Intermediate values of levels ``0 .. top-1`` given the values
         ``args`` of the levels above."""
-        vals = list(self.starts[:top]) + list(args)
+        equations, lattices, heights = self.equations, self.lattices, self.heights
+        ascending, starts, steps = self.ascending, self.starts, self.steps
+        warm_start, budget, evals = self.warm_start, self.budget, self.body_evals
+        vals = list(starts[:top]) + list(args)
         warm = [None] * top  # each level's value at the end of its last run
         run = [0] * top  # strict steps of each level's current run
         k = restart = 0
         up = down = False
-        while True:
-            for j in range(restart - 1, -1, -1):
-                if j + 1 < restart:
-                    p, v = warm[j + 1], vals[j + 1]
-                    if p is not v:
-                        lat = self.lattices[j + 1]
-                        up = up and lat.leq(p, v)
-                        down = down and lat.leq(v, p)
-                warm_ok = self.warm_start and (up if self.ascending[j] else down)
-                vals[j] = warm[j] if warm_ok else self.starts[j]
-                run[j] = 0
-            eq = self.equations[k]
-            u = vals[k]
-            new = eq.body(vals)
-            self.body_evals += 1
-            if self.body_evals > self.budget:
-                raise IterationBudgetError(
-                    f"solve exceeded body-evaluation budget {self.budget}"
-                )
-            if new == u:
-                self.steps[k] += run[k]
-                warm[k] = u
-                restart, k = 0, k + 1
-                if k == top:
-                    return tuple(vals[:top])
-                continue
-            # new != u, so by antisymmetry at most one direction holds: check
-            # only the level's own, up for mu and down for nu
-            lat = self.lattices[k]
-            up = self.ascending[k]
-            down = not up
-            if not (lat.leq(u, new) if up else lat.leq(new, u)):
-                raise MonotonicityError(
-                    f"equation {eq.var!r}: {eq.sign}-iteration moved against "
-                    f"the chain (non-monotone body)"
-                )
-            vals[k] = new
-            run[k] += 1
-            if run[k] > self.heights[k]:
-                # impossible for a strict chain in a finite lattice
-                raise IterationBudgetError(
-                    f"equation {eq.var!r}: chain longer than lattice height"
-                )
-            restart, k = k, 0
+        try:
+            while True:
+                if restart:
+                    for j in range(restart - 1, -1, -1):
+                        if j + 1 < restart:
+                            p, v = warm[j + 1], vals[j + 1]
+                            if p is not v:
+                                lat = lattices[j + 1]
+                                up = up and lat.leq(p, v)
+                                down = down and lat.leq(v, p)
+                        warm_ok = warm_start and (up if ascending[j] else down)
+                        vals[j] = warm[j] if warm_ok else starts[j]
+                        run[j] = 0
+                eq = equations[k]
+                u = vals[k]
+                new = eq.body(vals)
+                evals += 1
+                if evals > budget:
+                    raise IterationBudgetError(f"solve exceeded body-evaluation budget {budget}")
+                if new == u:
+                    steps[k] += run[k]
+                    warm[k] = u
+                    restart, k = 0, k + 1
+                    if k == top:
+                        return tuple(vals[:top])
+                    continue
+                # new != u, so by antisymmetry at most one direction holds:
+                # check only the level's own, up for mu and down for nu
+                lat = lattices[k]
+                up = ascending[k]
+                down = not up
+                if not (lat.leq(u, new) if up else lat.leq(new, u)):
+                    raise MonotonicityError(
+                        f"equation {eq.var!r}: {eq.sign}-iteration moved against "
+                        f"the chain (non-monotone body)"
+                    )
+                vals[k] = new
+                run[k] += 1
+                if run[k] > heights[k]:
+                    # impossible for a strict chain in a finite lattice
+                    raise IterationBudgetError(
+                        f"equation {eq.var!r}: chain longer than lattice height"
+                    )
+                restart, k = k, 0
+        finally:
+            self.body_evals = evals
 
 
 def solve(

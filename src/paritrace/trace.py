@@ -235,6 +235,26 @@ def predecessor_maps(children: Sequence[Sequence[int]]) -> tuple:
     )
 
 
+def _flat_shift(pred) -> tuple | None:
+    """A slot's predecessor map ``(right, left)`` as ``(r, mr, l, ml)``,
+    ``pre(S) = ((S >> r) & mr) | ((S << l) & ml)``, if it is at most one
+    right and one left shift, a right shift by 0 counting as a left one."""
+    right, left = pred
+    r = mr = l = ml = 0
+    for d, m in right:
+        if not d:
+            ml = m
+        elif mr:
+            return None
+        else:
+            r, mr = d, m
+    for d, m in left:
+        if ml:
+            return None
+        l, ml = d, m
+    return r, mr, l, ml
+
+
 def make_phi_body(
     groups: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int]]],
     preds: Sequence[tuple[tuple, tuple]],
@@ -258,33 +278,36 @@ def make_phi_body(
     position) yields its mask unchanged.  The body is monotone by
     construction (slots are positive).
 
-    Each key ``(child slot, equation, domain index)`` keeps the last
-    argument it shifted and the image it got, and reuses the image while
-    the assignment holds that same object (``is``): between two steps of a
-    nested solve most values are unchanged.  The pair is replaced in one
+    A *flat* group (one slot of at most two shifts, ``_flat_shift``, as in
+    every lasso) is computed inline at every call.  Every other group reads
+    keys ``(child slot, equation, domain index)``; each keeps the last
+    argument it shifted and its image, and reuses the image while the
+    assignment holds that same object (``is``), as most values are unchanged
+    between two steps of a nested solve.  The pair is replaced in one
     assignment, so two threads evaluating one body never read an argument
     with another argument's image; an equal value in a distinct object is
     only recomputed.
     """
+    flat0 = _flat_shift(preds[0]) if preds else None
+    r, mr, l, ml = flat0 or (0, 0, 0, 0)
     keys: dict[tuple[int, int, int], int] = {}
     rows = []
     for row in groups:
-        compiled = []
+        flat, keyed = [], []
         for slots, mask in row:
-            idx = []
             for i, (k, yi) in enumerate(slots):
-                j = keys.get((i, k, yi))
-                if j is None:
-                    if not (0 <= k < len(widths)):
-                        raise ValueError(f"slot {(k, yi)}: equation index out of range")
-                    if not (0 <= yi < widths[k]):
-                        raise ValueError(f"slot {(k, yi)}: state index out of range")
-                    if i >= len(preds):
-                        raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
-                    j = keys[(i, k, yi)] = len(keys)
-                idx.append(j)
-            compiled.append((mask, tuple(idx)))
-        rows.append(tuple(compiled))
+                if not (0 <= k < len(widths)):
+                    raise ValueError(f"slot {(k, yi)}: equation index out of range")
+                if not (0 <= yi < widths[k]):
+                    raise ValueError(f"slot {(k, yi)}: state index out of range")
+                if i >= len(preds):
+                    raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
+            if len(slots) == 1 and flat0:
+                flat.append((mask & mr, mask & ml, *slots[0]))
+            else:
+                idx = [keys.setdefault((i, k, yi), len(keys)) for i, (k, yi) in enumerate(slots)]
+                keyed.append((mask, tuple(idx)))
+        rows.append((tuple(flat), tuple(keyed)))
     # (equation, domain index, right shifts, left shifts), one entry per key
     inputs = tuple((k, yi) + preds[i] for (i, k, yi) in keys)
 
@@ -292,7 +315,7 @@ def make_phi_body(
 
     def body(assign: tuple) -> tuple:
         pre = []
-        for j, (k, yi, right, left) in enumerate(inputs):
+        for j, (k, yi, right, left) in enumerate(inputs) if inputs else ():  # a lasso has none
             s = assign[k][yi]
             last_s, acc = memo[j]
             if last_s is s:
@@ -307,9 +330,12 @@ def make_phi_body(
             memo[j] = (s, acc)
             pre.append(acc)
         out = []
-        for row in rows:
+        for flat, keyed in rows:
             acc = 0
-            for mask, idx in row:
+            for mask_r, mask_l, k, yi in flat:
+                s = assign[k][yi]
+                acc |= ((s >> r) & mask_r) | ((s << l) & mask_l)
+            for mask, idx in keyed:
                 for j in idx:
                     mask &= pre[j]
                     if not mask:

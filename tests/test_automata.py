@@ -13,6 +13,7 @@ from paritrace.automata import (
     WordGenParams,
     buchi_to_parity,
     parse,
+    random_buchi_automaton,
     random_det_exception_automaton,
     random_tree_automaton,
     random_word_automaton,
@@ -214,6 +215,18 @@ class TestGenerators:
             assert validate(taut) == []
             daut = random_det_exception_automaton(DetGenParams(), seed)
             assert validate(daut) == []
+
+    def test_letters_above_cap_rejected(self):
+        assert len(random_word_automaton(WordGenParams(n_letters=8), 0).alphabet) == 8
+        with pytest.raises(ValueError, match="at most 8 letters"):
+            random_word_automaton(WordGenParams(n_letters=9), 0)
+        with pytest.raises(ValueError, match="at most 8 letters"):
+            random_buchi_automaton(WordGenParams(n_letters=20), 0)
+        with pytest.raises(ValueError, match="at most 8 letters"):
+            random_det_exception_automaton(DetGenParams(n_symbols=9, word=True), 0)
+        # a tree-shaped alphabet has no such cap
+        tree = random_det_exception_automaton(DetGenParams(n_symbols=12), 0)
+        assert len(tree.alphabet.symbols) == 12
 
     def test_bounds_respected(self):
         p = WordGenParams(n_states=3, n_letters=2, two_n=4, density=1.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from cellbody import cell_bodies
+from test_trace import wide_tree_case
 
 from paritrace import trace
 from paritrace.automata import parse
@@ -25,6 +26,7 @@ from paritrace.lattice import MU, NU
 from paritrace.omega_input import (
     DecoratedLassoWord,
     DecoratedRegularTreeRep,
+    RegularTreeRep,
     random_lasso,
     random_regular_tree,
 )
@@ -176,6 +178,101 @@ def test_compacted_body_equals_cell_body(kind):
     )
 
 
+#: Lassos at the edges of the closed-form map: one position, a one-position
+#: cycle after a stem (whose wrap is a right shift by 0), a wrap by 1, and
+#: long wraps.
+FLAT_LASSOS = {
+    "one-position": ";a",
+    "cycle-of-one": "ab;c",
+    "wrap-by-one": ";ab",
+    "wrap-by-119": "c;" + "ab" * 60,
+    "wrap-by-209": "abc;" + "cab" * 70,
+}
+
+
+def _edge_trees():
+    """Two trees over f/2, g/1 and c/0, and whether the predecessor map of
+    their slot 0 is flat: offsets +1 and -2 (one right and one left shift)
+    in the first, +1, +2 and -3 in the second."""
+    flat = {"n0": ("g", ("n1",)), "n1": ("f", ("n2", "n0")), "n2": ("g", ("n0",))}
+    keyed = {
+        "n0": ("g", ("n1",)),
+        "n1": ("f", ("n3", "n2")),
+        "n2": ("c", ()),
+        "n3": ("g", ("n0",)),
+    }
+    return [(RegularTreeRep(flat, "n0"), True), (RegularTreeRep(keyed, "n0"), False)]
+
+
+def _check_edge_input(aut, inp, decorated, rng, flat):
+    """The literal system's bodies on ``inp`` equal the per-cell reference
+    on random assignments, and slot 0's map is flat exactly when ``flat``."""
+    transitions, labels, preds, root = trace._generator(aut, inp, decorated)
+    assert (trace._flat_shift(preds[0]) is not None) == flat
+    partition, signs = trace._parity_blocks(aut, decorated)
+    moves = trace._moves(transitions, labels)
+    rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+    if isinstance(inp, RegularTreeRep):
+        index = {n: i for i, n in enumerate(inp.node_ids())}
+        children = tuple(tuple(index[c] for c in inp.children(n)) for n in inp.node_ids())
+        plain = aut.transitions
+    else:
+        children = tuple((inp.next_pos(p),) for p in range(inp.n_positions))
+        plain = trace._word_transitions(aut)
+    ref_transitions, ref_labels, _, prios, priority = _reference_args(
+        plain, labels, children, aut, decorated
+    )
+    reference = cell_bodies(ref_transitions, ref_labels, children, partition, prios, priority)
+    nonempty = 0
+    for _ in range(8):
+        assign = tuple(
+            tuple(random_value(len(labels), rng) for _ in c.domain) for c in rh.carriers
+        )
+        for eq, ref in zip(rh.hes.equations, reference):
+            got = eq.body(assign)
+            assert got == ref(assign), (inp, eq.var)
+            nonempty += any(got)
+    return nonempty
+
+
+@pytest.mark.parametrize("text", FLAT_LASSOS.values(), ids=FLAT_LASSOS.keys())
+@pytest.mark.parametrize("decorated", [False, True], ids=["plain", "decorated"])
+def test_flat_lasso_body_equals_cell_body(text, decorated):
+    rng = random.Random(f"flat-{text}-{decorated}")
+    params = WordGenParams(n_states=4, n_letters=3, two_n=4, density=0.5)
+    nonempty = 0
+    for seed in range(15):
+        aut = random_word_automaton(params, seed)
+        w = parse_lasso(text)
+        if decorated:
+            w = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
+        nonempty += _check_edge_input(aut, w, decorated, rng, True)
+    assert nonempty > 0
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["flat", "keyed"])
+def test_edge_tree_body_equals_cell_body(index):
+    rng = random.Random(f"edge-tree-{index}")
+    tree, flat = _edge_trees()[index]
+    nonempty = 0
+    for _ in range(15):
+        aut = wide_tree_case(rng)[0]
+        nonempty += _check_edge_input(aut, tree, False, rng, flat)
+    assert nonempty > 0
+
+
+def test_flat_shift_normalisation():
+    # a right shift by 0 becomes a left shift by 0
+    assert trace._flat_shift((((1, 3), (0, 4)), ())) == (1, 3, 0, 4)
+    assert trace._flat_shift((((0, 1),), ())) == (0, 0, 0, 1)
+    assert trace._flat_shift((((1, 1),), ((2, 4),))) == (1, 1, 2, 4)
+    assert trace._flat_shift(((), ())) == (0, 0, 0, 0)
+    # more than one shift on a side is not flat, counting the moved one
+    assert trace._flat_shift((((1, 1), (0, 2)), ((2, 4),))) is None
+    assert trace._flat_shift((((1, 1), (2, 2)), ())) is None
+    assert trace._flat_shift(((), ((1, 1), (2, 2)))) is None
+
+
 def _distinct_copy(assign):
     """``assign`` with every value rebuilt as a new ``int`` object (CPython
     shares the objects of -5..256, so only larger values are distinct)."""
@@ -196,10 +293,12 @@ def _mixed(a, b, rng):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_memoised_body_equals_cell_body_on_repeats(kind):
-    """A body reuses the image of a key while its argument is the same
-    object; on sequences that return to earlier assignments (A, B, A), mix
-    them and repeat equal values in new objects, it still equals the
-    memo-free reference."""
+    """A body's keyed terms (the trees' multi-slot groups) reuse the image
+    of a key while its argument is the same object, and its flat terms
+    (every lasso group) are recomputed at each call; on sequences that
+    return to earlier assignments (A, B, A), mix them and repeat equal
+    values in new objects, the body still equals the memo-free
+    reference."""
     rng = random.Random(f"memo-{kind}")
     checked = distinct = widest = 0
     for seed in range(20):
@@ -234,12 +333,17 @@ DEEP_SOLVE_COUNTERS = Path(__file__).parent / "data" / "deep_solve_counters.json
 
 
 def test_two_threads_share_one_system():
-    """Two threads solving the same system share its bodies' memos; each
-    solve still equals a single-threaded solve of a fresh build, whose
-    counters are the recorded ones."""
+    """Two threads solving the same systems share their bodies: the
+    lassos' flat terms, and the memos of the keyed terms of the four widest
+    of twelve wide trees.  Each solve still equals a single-threaded solve
+    of a fresh build, and the lassos' counters are the recorded ones."""
     cases = json.loads(DEEP_SOLVE_COUNTERS.read_text(encoding="utf-8"))["cases"]
     cases = sorted(cases, key=lambda c: -c["expected"]["warm"]["body_evals"])[:4]
     inputs = [(parse(c["automaton"]), parse_lasso(c["input"])) for c in cases]
+    rng = random.Random("threads")
+    trees = [wide_tree_case(rng) for _ in range(12)]
+    trees.sort(key=lambda case: -len(case[2].node_ids()) * len(case[0].states))
+    inputs += [(aut, t) for aut, _, t in trees[:4]]
     expected = [solve(trace.build_restricted_hes(aut, w).hes) for aut, w in inputs]
     shared = [trace.build_restricted_hes(aut, w).hes for aut, w in inputs]
     results = [[], []]
@@ -266,6 +370,6 @@ def test_two_threads_share_one_system():
     for out in results:
         assert out == [expected] * 3
     # and the single-threaded solves are the recorded ones
-    for case, sol in zip(cases, expected):
+    for case, sol in zip(cases, expected[:4]):
         warm = case["expected"]["warm"]
         assert (list(sol.iterations), sol.body_evals) == (warm["iterations"], warm["body_evals"])

@@ -354,6 +354,8 @@ class TestBadFiles:
             '{"finite_maxlen": 9, "max_letters": 1, "properties": ["finite-traces"], "trials": 1}',
             # 9,841 words over 3 letters up to length 8, above the engine's 4,096
             '{"finite_maxlen": 8, "max_letters": 3, "properties": ["finite-traces"]}',
+            # more letters than the word generators have
+            '{"max_letters": 20, "properties": ["engine-vs-oracle"]}',
         ],
     )
     def test_bad_fuzz_config(self, capsys, tmp_path, text):

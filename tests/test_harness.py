@@ -64,6 +64,21 @@ class TestCampaign:
         # the cap binds only the finite-traces property
         CampaignConfig.from_json(dict(doc, properties=["engine-vs-oracle"]))
 
+    def test_config_from_json_rejects_letters_above_cap(self):
+        with pytest.raises(ConfigError, match="max_letters must be <= 8, got 20"):
+            CampaignConfig.from_json({"max_letters": 20, "properties": ["engine-vs-oracle"]})
+        doc = {"max_letters": 8, "properties": ["engine-vs-oracle"]}
+        assert CampaignConfig.from_json(doc).max_letters == 8
+
+    def test_many_tree_symbols_still_run_trees(self):
+        # tree symbols are not letters: only word-shaped automata are capped
+        cfg = CampaignConfig.from_json(
+            {"trials": 20, "tree_symbols": 12, "properties": ["trees", "det-exception"]}
+        )
+        report = campaign(cfg, seed=0)
+        assert report.ok, report.summary()
+        assert [r.passed for r in report.results] == [20, 20]
+
 
 class TestMutationSmoke:
     def test_flipped_signs_detected_with_counterexamples(self):

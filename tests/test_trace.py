@@ -699,6 +699,26 @@ def wide_tree(rng, n_nodes, alphabet):
     return RegularTreeRep(nodes, "n0")
 
 
+WIDE_ALPHABET = RankedAlphabet([("f", 2), ("g", 1), ("h", 2), ("c", 0)])
+
+
+def wide_tree_case(rng):
+    """A tree automaton of 4-10 states over ``WIDE_ALPHABET``, a state of
+    it, and a tree of 20-48 nodes."""
+    alphabet = WIDE_ALPHABET
+    states = [f"s{i}" for i in range(rng.randint(4, 10))]
+    transitions = [
+        (x, sym, tuple(rng.choice(states) for _ in range(alphabet.arity(sym))))
+        for x in states
+        for sym in alphabet.symbols
+        for _ in range(rng.choice((1, 1, 2)))
+    ]
+    priorities = {x: rng.randint(1, 4) for x in states}
+    aut = ParityTreeAutomaton(states, alphabet, transitions, priorities)
+    t = wide_tree(rng, rng.randint(20, 48), alphabet)
+    return aut, rng.choice(states), t
+
+
 class TestWideDifferential:
     """Engine against the independent oracles on inputs of hundreds of
     positions and tens of states."""
@@ -726,20 +746,9 @@ class TestWideDifferential:
 
     def test_wide_trees_match_parity_game(self):
         rng = random.Random(405)
-        alphabet = RankedAlphabet([("f", 2), ("g", 1), ("h", 2), ("c", 0)])
         verdicts = []
         for _ in range(40):
-            states = [f"s{i}" for i in range(rng.randint(4, 10))]
-            transitions = [
-                (x, sym, tuple(rng.choice(states) for _ in range(alphabet.arity(sym))))
-                for x in states
-                for sym in alphabet.symbols
-                for _ in range(rng.choice((1, 1, 2)))
-            ]
-            priorities = {x: rng.randint(1, 4) for x in states}
-            aut = ParityTreeAutomaton(states, alphabet, transitions, priorities)
-            t = wide_tree(rng, rng.randint(20, 48), alphabet)
-            x = rng.choice(states)
+            aut, x, t = wide_tree_case(rng)
             v = tree_language_membership(aut, x, t).value
             assert v == tree_membership_oracle(aut, x, t).value, x
             verdicts.append(v)
