@@ -143,17 +143,19 @@ class _Solver:
     solved levels, since two runs of one level never see the same outer
     arguments; a body may still keep the last image of an input it reads
     (``trace.make_phi_body`` does for a tree's keyed terms), as most of the
-    assignment is the same object from one evaluation to the next.
+    assignment is the same object from one evaluation to the next.  The
+    set-up reads each equation's lattice, height, sign and start in one pass.
     """
 
     def __init__(self, hes: HierEqSystem, budget: int | None, warm_start: bool = True):
         self.equations = hes.equations
-        self.lattices = tuple(eq.lattice for eq in hes.equations)
-        self.heights = tuple(lat.height() for lat in self.lattices)
-        self.ascending = tuple(eq.sign == MU for eq in hes.equations)
-        self.starts = tuple(
-            lat.bottom if asc else lat.top for lat, asc in zip(self.lattices, self.ascending)
-        )
+        self.lattices, self.heights, self.ascending, self.starts = [], [], [], []
+        for eq in hes.equations:
+            lat, asc = eq.lattice, eq.sign == MU
+            self.lattices.append(lat)
+            self.heights.append(lat.height())
+            self.ascending.append(asc)
+            self.starts.append(lat.bottom if asc else lat.top)
         self.budget = budget if budget is not None else default_iteration_budget()
         self.warm_start = warm_start
         self.steps = [0] * len(hes)
@@ -165,7 +167,7 @@ class _Solver:
         equations, lattices, heights = self.equations, self.lattices, self.heights
         ascending, starts, steps = self.ascending, self.starts, self.steps
         warm_start, budget, evals = self.warm_start, self.budget, self.body_evals
-        vals = list(starts[:top]) + list(args)
+        vals = starts[:top] + list(args)
         warm = [None] * top  # each level's value at the end of its last run
         run = [0] * top  # strict steps of each level's current run
         k = restart = 0
@@ -246,7 +248,7 @@ def solve(
         assignment=assignment,
         iterations=tuple(solver.steps),
         body_evals=solver.body_evals,
-        variables=tuple(eq.var for eq in hes.equations),
+        variables=tuple([eq.var for eq in hes.equations]),
     )
 
 

@@ -160,7 +160,8 @@ class FunctionLattice(FiniteLattice):
     Elements are tuples of bitmasks aligned with the (fixed) domain order,
     so they stay hashable, and the order and the operations are one plain
     loop of bitwise work over the two tuples.  Any other codomain is
-    rejected.
+    rejected.  As in ``PowersetLattice``, the item -> index dict is built
+    on first use: a solve reads its carriers only as tuples.
     """
 
     def __init__(self, domain: Any, codomain: PowersetLattice):
@@ -171,7 +172,7 @@ class FunctionLattice(FiniteLattice):
             raise ValueError("domain has duplicate items")
         self.domain = domain
         self.codomain = codomain
-        self._index = {d: i for i, d in enumerate(domain)}
+        self._index: dict | None = None
         self._bottom = (codomain.bottom,) * len(domain)
         self._top = (codomain.top,) * len(domain)
 
@@ -202,10 +203,12 @@ class FunctionLattice(FiniteLattice):
         return self.codomain.height() * len(self.domain)
 
     def index(self, d: Any) -> int:
+        if self._index is None:
+            self._index = {item: i for i, item in enumerate(self.domain)}
         return self._index[d]
 
     def get(self, elem: tuple, d: Any) -> Any:
-        return elem[self._index[d]]
+        return elem[self.index(d)]
 
     def __repr__(self) -> str:
         return f"FunctionLattice({list(self.domain)!r}, {self.codomain!r})"

@@ -279,22 +279,20 @@ def make_phi_body(
     construction (slots are positive).
 
     A *flat* group (one slot of at most two shifts, ``_flat_shift``, as in
-    every lasso) is computed inline at every call.  Every other group reads
-    keys ``(child slot, equation, domain index)``; each keeps the last
-    argument it shifted and its image, and reuses the image while the
-    assignment holds that same object (``is``), as most values are unchanged
-    between two steps of a nested solve.  The pair is replaced in one
-    assignment, so two threads evaluating one body never read an argument
-    with another argument's image; an equal value in a distinct object is
-    only recomputed.
+    every lasso) is computed inline at every call, and the flat groups of
+    one row that share a mask are one term: ``pre`` preserves unions, so
+    ``mask & pre(S_y | S_z | ...)`` ORs their values and shifts once.
+    Every other group reads keys ``(child slot, equation, domain index)``;
+    each keeps the last argument it shifted and its image, and reuses the
+    image while the assignment holds that same object (``is``), as most
+    values are unchanged between two steps of a nested solve.  The pair is
+    replaced in one assignment, so two threads evaluating one body never
+    read an argument with another argument's image; an equal value in a
+    distinct object is only recomputed.
     """
-    flat0 = _flat_shift(preds[0]) if preds else None
-    r, mr, l, ml = flat0 or (0, 0, 0, 0)
-    keys: dict[tuple[int, int, int], int] = {}
-    rows = []
+    slot_of = {}
     for row in groups:
-        flat, keyed = [], []
-        for slots, mask in row:
+        for slots, _ in row:
             for i, (k, yi) in enumerate(slots):
                 if not (0 <= k < len(widths)):
                     raise ValueError(f"slot {(k, yi)}: equation index out of range")
@@ -302,14 +300,43 @@ def make_phi_body(
                     raise ValueError(f"slot {(k, yi)}: state index out of range")
                 if i >= len(preds):
                     raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
-            if len(slots) == 1 and flat0:
-                flat.append((mask & mr, mask & ml, *slots[0]))
-            else:
+                slot_of[k, yi] = (k, yi)
+    return _phi_body(groups, slot_of, preds)
+
+
+def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
+    """The row builder of ``make_phi_body`` and ``_system_from_moves``:
+    ``rows[x]`` lists ``(successors, mask)`` pairs, ``slot_of`` maps a
+    successor to its slot ``(equation_index, domain_index)``, and a pair
+    with a successor it lacks is left out.  One pass over each row looks up
+    the slots, folds the mask into slot 0's two shift masks, and sorts the
+    pair into a flat term, grouped by its mask, or a keyed one."""
+    flat0 = _flat_shift(preds[0]) if preds else None
+    r, mr, l, ml = flat0 or (0, 0, 0, 0)
+    keys: dict[tuple[int, int, int], int] = {}
+    terms = []
+    for row in rows:
+        by_mask: dict = {}
+        keyed = []
+        for ys, mask in row:
+            if flat0 and len(ys) == 1:
+                slot = slot_of.get(ys[0])
+                if slot is not None:
+                    by_mask.setdefault(mask, []).append(slot)
+                continue
+            slots = tuple(map(slot_of.get, ys))
+            if None not in slots:
                 idx = [keys.setdefault((i, k, yi), len(keys)) for i, (k, yi) in enumerate(slots)]
                 keyed.append((mask, tuple(idx)))
-        rows.append((tuple(flat), tuple(keyed)))
+        flat, grouped = [], []
+        for mask, slots in by_mask.items():
+            if len(slots) == 1:
+                flat.append((mask & mr, mask & ml, *slots[0]))
+            else:
+                grouped.append((mask & mr, mask & ml, tuple(slots)))
+        terms.append((tuple(flat), tuple(grouped), tuple(keyed)))
     # (equation, domain index, right shifts, left shifts), one entry per key
-    inputs = tuple((k, yi) + preds[i] for (i, k, yi) in keys)
+    inputs = tuple([(k, yi) + preds[i] for (i, k, yi) in keys])
 
     memo = [(None, 0)] * len(inputs)
 
@@ -330,10 +357,15 @@ def make_phi_body(
             memo[j] = (s, acc)
             pre.append(acc)
         out = []
-        for flat, keyed in rows:
+        for flat, grouped, keyed in terms:
             acc = 0
             for mask_r, mask_l, k, yi in flat:
                 s = assign[k][yi]
+                acc |= ((s >> r) & mask_r) | ((s << l) & mask_l)
+            for mask_r, mask_l, slots in grouped:
+                s = 0
+                for k, yi in slots:
+                    s |= assign[k][yi]
                 acc |= ((s >> r) & mask_r) | ((s << l) & mask_l)
             for mask, idx in keyed:
                 for j in idx:
@@ -372,24 +404,18 @@ def _system_from_moves(moves, n, preds, root, partition, signs) -> RestrictedHes
     over the states of ``partition[k]``, with the grouped ``moves`` of
     ``_moves``.  A move to a state outside the partition is left out.
     ``preds`` are the generator's predecessor maps, in the form of
-    ``predecessor_maps``, and ``root`` its start position."""
+    ``predecessor_maps``, and ``root`` its start position.  Each state's
+    moves go straight into its row of body terms (``_phi_body``), in the
+    loop that looks up their successors' slots."""
     pos_lat = PowersetLattice(range(n))
     slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
-    widths = tuple(len(block) for block in partition)
     equations = []
     carriers = []
     for k, block in enumerate(partition):
-        groups = []
-        for x in block:
-            row = []
-            for ys, mask in moves.get(x, {}).items():
-                slots = tuple(map(slot_of.get, ys))
-                if None not in slots:
-                    row.append((slots, mask))
-            groups.append(row)
         carrier = FunctionLattice(block, pos_lat)
         carriers.append(carrier)
-        body = make_phi_body(groups, preds, widths=widths)
+        rows = [moves[x].items() if x in moves else () for x in block]
+        body = _phi_body(rows, slot_of, preds)
         equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
     return RestrictedHes(HierEqSystem(equations), carriers, pos_lat.ground, root)
 
@@ -443,9 +469,17 @@ def _cone_states(moves, preds, labels, states, x, root) -> list:
         for (right, left), out in zip(preds, outs):
             if not out:
                 continue
-            q = next((p + d for d, m in right if m & here), None)
-            if q is None:
-                q = next(p - d for d, m in left if m & here)
+            for d, m in right:
+                if m & here:
+                    q = p + d
+                    break
+            else:
+                for d, m in left:
+                    if m & here:
+                        q = p - d
+                        break
+                else:
+                    raise ValueError(f"position {p} has no child in a slot that a move uses")
             fresh = out & ~reached.get(q, 0)
             if fresh:
                 reached[q] = reached.get(q, 0) | fresh
@@ -600,8 +634,7 @@ def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdi
     partition, signs, block_of = _compact_blocks(aut, decorated, cone)
     rh = _system_from_moves(moves, len(labels), preds, root, partition, signs)
     sol = rh.solve()
-    widths = tuple(len(block) for block in partition)
-    stats = SolveStats(sol.iterations, sol.body_evals, len(labels), widths)
+    stats = SolveStats(sol.iterations, sol.body_evals, len(labels), tuple(map(len, partition)))
     return MembershipVerdict(rh.member(sol.assignment, x, block_of[x]), stats)
 
 

@@ -16,6 +16,8 @@ from paritrace.automata import parse
 from paritrace.hes import solve
 from paritrace.omega_input import parse_lasso
 from paritrace.automata import (
+    ParityTreeAutomaton,
+    RankedAlphabet,
     TreeGenParams,
     WordGenParams,
     random_buchi_automaton,
@@ -271,6 +273,173 @@ def test_flat_shift_normalisation():
     assert trace._flat_shift((((1, 1), (0, 2)), ((2, 4),))) is None
     assert trace._flat_shift((((1, 1), (2, 2)), ())) is None
     assert trace._flat_shift(((), ((1, 1), (2, 2)))) is None
+
+
+#: Lassos for the mask-grouped flat terms: a cycle of one, and lassos whose
+#: last position (the wrap) reads a letter that other positions share.
+SHARED_LASSOS = {
+    "one-position": ";a",
+    "cycle-of-one": "ab;a",
+    "wrap-by-one": ";ba",
+    "stem-and-cycle": "cb;abca",
+    "wrap-by-41": "c;" + "ab" * 21,
+}
+
+
+def _shared_masks(moves) -> set:
+    """The masks on which two or more single successors of one state
+    share a row of ``moves``: each such mask is one grouped flat term."""
+    shared = set()
+    for row in moves.values():
+        masks = [mask for ys, mask in row.items() if len(ys) == 1]
+        shared.update([mask for mask in masks if masks.count(mask) > 1])
+    return shared
+
+
+@pytest.mark.parametrize("text", SHARED_LASSOS.values(), ids=SHARED_LASSOS.keys())
+@pytest.mark.parametrize("decorated", [False, True], ids=["plain", "decorated"])
+def test_shared_mask_lasso_body_equals_cell_body(text, decorated):
+    """Dense automata give states two or more successors on the same
+    positions, which the fused build unions into one grouped term; some of
+    those masks hold the wrap position, the lasso's last one."""
+    rng = random.Random(f"shared-{text}-{decorated}")
+    params = WordGenParams(n_states=4, n_letters=3, two_n=4, density=0.6)
+    grouped = wrapped = nonempty = 0
+    for seed in range(15):
+        aut = random_word_automaton(params, seed)
+        w = parse_lasso(text)
+        if decorated:
+            w = DecoratedLassoWord(_decorate(w.stem, rng, 4), _decorate(w.cycle, rng, 4))
+        transitions, labels = trace._generator(aut, w, decorated)[:2]
+        shared = _shared_masks(trace._moves(transitions, labels))
+        grouped += bool(shared)
+        wrapped += any([(mask >> (len(labels) - 1)) & 1 for mask in shared])
+        nonempty += _check_edge_input(aut, w, decorated, rng, True)
+    assert grouped >= 5 and wrapped >= 3 and nonempty > 0
+
+
+def test_shared_mask_finite_word_body_equals_cell_body():
+    """The finite-word generator's slot 0 is one right shift, and its
+    grouped terms leave out the nullary end position."""
+    rng = random.Random("shared-finite")
+    params = WordGenParams(n_states=4, n_letters=2, two_n=2, density=0.6)
+    grouped = nonempty = 0
+    for seed in range(30):
+        aut = random_word_automaton(params, seed)
+        transitions = trace._word_transitions(aut)
+        transitions += [(y, trace._TICK, ()) for y in aut.states[: rng.randint(0, 4)]]
+        word = tuple([rng.choice(aut.alphabet) for _ in range(rng.randint(0, 12))])
+        labels = word + (trace._TICK,)
+        children = tuple([(p + 1,) for p in range(len(word))]) + ((),)
+        moves = trace._moves(transitions, labels)
+        grouped += bool(_shared_masks(moves))
+        preds = trace.predecessor_maps(children)
+        rh = trace._system_from_moves(moves, len(labels), preds, 0, [aut.states], [MU])
+        (ref,) = cell_bodies(transitions, labels, children, [aut.states])
+        for _ in range(8):
+            assign = (tuple([random_value(len(labels), rng) for _ in aut.states]),)
+            got = rh.hes.equations[0].body(assign)
+            assert got == ref(assign), (seed, word)
+            nonempty += any(got)
+    assert grouped >= 15 and nonempty > 0
+
+
+def test_tree_rows_mix_grouped_and_keyed_terms():
+    """On the edge tree whose slot 0 is flat, a row holds a grouped term
+    (x's two g-successors, and y's), single flat terms and keyed f-terms;
+    on the edge tree whose slot 0 is keyed, every term of the row is."""
+    alphabet = RankedAlphabet([("f", 2), ("g", 1), ("c", 0)])
+    transitions = [
+        ("x", "g", ("y",)),
+        ("x", "g", ("z",)),
+        ("x", "f", ("y", "z")),
+        ("x", "f", ("z", "z")),
+        ("y", "g", ("x",)),
+        ("y", "g", ("z",)),
+        ("y", "g", ("y",)),
+        ("y", "c", ()),
+        ("y", "f", ("x", "y")),
+        ("z", "f", ("x", "x")),
+        ("z", "g", ("y",)),
+        ("z", "c", ()),
+    ]
+    aut = ParityTreeAutomaton(("x", "y", "z"), alphabet, transitions, {"x": 1, "y": 2, "z": 3})
+    rng = random.Random("tree-rows")
+    for tree, flat in _edge_trees():
+        t_transitions, labels = trace._generator(aut, tree, False)[:2]
+        assert _shared_masks(trace._moves(t_transitions, labels))
+        assert _check_edge_input(aut, tree, False, rng, flat) > 0
+
+
+def _lasso_cells(groups, children, assign):
+    """``make_phi_body``'s formula cell by cell, for a unary generator."""
+    out = []
+    for row in groups:
+        acc = 0
+        for ((k, yi),), mask in row:
+            for p, (q,) in enumerate(children):
+                if (mask >> p) & 1 and (assign[k][yi] >> q) & 1:
+                    acc |= 1 << p
+        out.append(acc)
+    return tuple(out)
+
+
+def test_make_phi_body_groups_by_mask_and_checks_slots():
+    """``make_phi_body`` goes through the same row builder: slots that
+    share a mask (one of them holds the wrap position 4, one a slot twice)
+    become grouped terms and equal the cell-by-cell formula, and its three
+    slot checks still raise."""
+    children = [(1,), (2,), (3,), (4,), (2,)]  # the lasso ab;cab
+    preds = trace.predecessor_maps(children)
+    m1, m2, m3 = 0b10110, 0b01001, 0b11111
+    groups = [
+        [(((0, 1),), m1), (((0, 2),), m1), (((0, 0),), m2)],
+        [(((0, 1),), m1), (((0, 1),), m2)],
+        [(((0, 0),), m3), (((0, 1),), m3), (((0, 2),), m3)],
+        [(((0, 2),), m2), (((0, 2),), m2)],
+        [],
+    ]
+    body = trace.make_phi_body(groups, preds, widths=(3,))
+    rng = random.Random("phi-groups")
+    for _ in range(200):
+        assign = (tuple([rng.getrandbits(5) for _ in range(3)]),)
+        assert body(assign) == _lasso_cells(groups, children, assign), assign
+    for bad, message in (
+        ([[(((1, 0),), 1)]], "equation index out of range"),
+        ([[(((0, 3),), 1)]], "state index out of range"),
+        ([[(((0, 0), (0, 1)), 1)]], "no position has a child slot 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            trace.make_phi_body(bad, preds, widths=(3,))
+
+
+def test_make_phi_body_equals_fused_build():
+    """The groups of ``make_phi_body``'s contract, made from the moves,
+    give the bodies that ``_system_from_moves`` builds from the moves."""
+    rng = random.Random("phi-fused")
+    for kind in ("lasso", "decorated-lasso", "tree"):
+        for seed in range(10):
+            args = generator_args(kind, seed, rng)[0]
+            transitions, labels, preds, root, partition, signs = args
+            moves = trace._moves(transitions, labels)
+            rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+            slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
+            widths = [len(block) for block in partition]
+            for eq, block in zip(rh.hes.equations, partition):
+                groups = [
+                    [
+                        (tuple([slot_of[y] for y in ys]), mask)
+                        for ys, mask in moves.get(x, {}).items()
+                    ]
+                    for x in block
+                ]
+                body = trace.make_phi_body(groups, preds, widths=widths)
+                for _ in range(4):
+                    assign = tuple(
+                        tuple([random_value(len(labels), rng) for _ in c.domain])
+                        for c in rh.carriers
+                    )
+                    assert body(assign) == eq.body(assign), (kind, seed, eq.var)
 
 
 def _distinct_copy(assign):

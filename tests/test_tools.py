@@ -1,8 +1,11 @@
 """Smoke test of the in-process A/B timing script."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +35,28 @@ def test_ab_rounds_rejects_a_directory_without_the_package(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 2 and "holds no paritrace package" in proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["deep-nesting", "tree-cli"])
+def test_ab_rounds_rejects_a_tree_that_counts_differently(tmp_path, workload):
+    """The warm-up compares each engine call's whole ``MembershipVerdict``:
+    a copy of the package whose verdicts agree but whose ``SolveStats``
+    count one more body evaluation is refused before any timed round."""
+    src = ROOT / "src"
+    shutil.copytree(src / "paritrace", tmp_path / "paritrace")
+    trace_py = tmp_path / "paritrace" / "trace.py"
+    text = trace_py.read_text(encoding="utf-8")
+    counted = "SolveStats(sol.iterations, sol.body_evals,"
+    assert text.count(counted) == 1
+    miscounted = text.replace(counted, "SolveStats(sol.iterations, sol.body_evals + 1,")
+    trace_py.write_text(miscounted, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), str(src), str(tmp_path), workload]
+        + ["--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert "error: the two trees give different outputs at op 0" in proc.stderr
+    assert "body_evals=" in proc.stderr

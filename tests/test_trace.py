@@ -974,6 +974,23 @@ class TestCone:
         assert sorted(d for d, _ in right0) == [2] and sorted(d for d, _ in left0) == [1, 2, 3]
         assert sorted(d for d, _ in right1) == [0, 2] and sorted(d for d, _ in left1) == [3]
 
+    def test_missing_shift_raises(self):
+        """A walk that needs a child no shift of its slot gives must raise,
+        not reuse the child of the position it stepped from: position 0
+        steps right to 1, but no slot-0 mask holds position 1, where y
+        moves on to z."""
+        moves = {"x": {("y",): 0b11}, "y": {("z",): 0b11}, "z": {("x",): 0b11}}
+        preds = ((((1, 0b01),), ()),)
+        with pytest.raises(ValueError, match="position 1"):
+            trace._cone_states(moves, preds, ("a", "a"), ("x", "y", "z"), "x", 0)
+        # with the shift that holds position 1 the same walk reaches z there
+        preds = ((((1, 0b01),), ((1, 0b10),)),)
+        assert trace._cone_states(moves, preds, ("a", "a"), ("x", "y", "z"), "x", 0) == [
+            "x",
+            "y",
+            "z",
+        ]
+
     def test_appendix_cone_leaves_out_z(self):
         # z is reachable only on c, which a;bab never reads
         aut = appendix_automaton()

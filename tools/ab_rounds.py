@@ -11,7 +11,10 @@ op of the workload once, as ``benchmarks/worker.py`` runs it, except that
 a ``tree-cli`` op is the in-process engine and oracle calls rather than a
 cold CLI process.  Rounds alternate A B, B A, A B, ... after one untimed
 warm-up round per side, whose outputs must agree between the sides, and
-each timed round starts after a garbage collection.
+each timed round starts after a garbage collection.  An engine call's
+output is its whole ``MembershipVerdict``, the value and the ``SolveStats``
+counters, so the warm-up also checks that both trees count the same
+iterations, body evaluations, positions and widths.
 
 Prints each side's median and quartiles of the round time in ms, how many
 rounds each side won, and the median change from A to B.  Standard
@@ -60,7 +63,7 @@ def make_round(mods: dict, workload: str, spec: dict):
 
         def one(aut, x, t):
             return (
-                trace.tree_language_membership(aut, x, t).value,
+                trace.tree_language_membership(aut, x, t),
                 oracle.tree_membership_oracle(aut, x, t).value,
             )
 
@@ -69,7 +72,7 @@ def make_round(mods: dict, workload: str, spec: dict):
         if workload == "campaign":
 
             def one(aut, x, w):
-                engine = trace.parity_trace_membership(aut, x, w).value
+                engine = trace.parity_trace_membership(aut, x, w)
                 graph = oracle.lasso_acceptance(aut, x, w).value
                 report = trace.flattening_theorem_check(aut, x, w)
                 return engine, graph, report.agree, report.membership
@@ -77,7 +80,7 @@ def make_round(mods: dict, workload: str, spec: dict):
         else:
 
             def one(aut, x, w):
-                return trace.parity_trace_membership(aut, x, w).value
+                return trace.parity_trace_membership(aut, x, w)
 
     return lambda: [one(*op) for op in ops]
 
@@ -88,8 +91,10 @@ def run(src_a: Path, src_b: Path, workload: str, seed: int, rounds: int, out=pri
         "A": make_round(load(src_a, "paritrace_ab_a"), workload, spec),
         "B": make_round(load(src_b, "paritrace_ab_b"), workload, spec),
     }
-    if sides["A"]() != sides["B"]():
-        raise SystemExit("error: the two trees give different outputs")
+    outputs = sides["A"](), sides["B"]()
+    for i, (a, b) in enumerate(zip(*outputs)):
+        if a != b:
+            raise SystemExit(f"error: the two trees give different outputs at op {i}: {a} != {b}")
     times: dict[str, list[float]] = {"A": [], "B": []}
     for r in range(rounds):
         for side in ("AB" if r % 2 == 0 else "BA"):
