@@ -15,14 +15,17 @@ Text format, one directive per line, ``#`` starts a comment::
     alphabet: a b                # word automata
     ranked-alphabet: f/2 c/0     # tree automata
     states: x y
-    priorities: x:1 y:2          # or Buchi shorthand:  accepting: y
-    final: y                     # optional termination flags (word automata)
+    priorities: x:1 y:2          # or Buchi shorthand:  accepting: y (word-parity)
+    final: y                     # optional termination flags (word-parity)
     trans: x a y;                # word transition
     trans: x -> f(x, y);         # tree transition
+
+A line that the header's kind does not read is a ``ParseError``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
@@ -116,7 +119,57 @@ def _check_priorities(states, priorities) -> int:
     return two_n
 
 
-class ParityWordAutomaton:
+def _check_targets(what, alphabet, x, sym, targets, state_set) -> None:
+    """Check that ``targets`` are declared states, as many as the arity of
+    ``sym``; the template ``what``, filled with ``x``, ``sym`` and
+    ``targets`` only on an error, names the transition in the messages."""
+    n = alphabet.arity(sym)
+    if len(targets) != n:
+        what = what.format(x=x, sym=sym, targets=targets)
+        raise AutomatonError(f"{what}: symbol has arity {n}, got {len(targets)} children")
+    for y in targets:
+        if y not in state_set:
+            what = what.format(x=x, sym=sym, targets=targets)
+            raise AutomatonError(f"{what}: undeclared state {y!r}")
+
+
+class _Automaton:
+    """The states and priorities that every parity automaton has, and
+    equality by the kind and ``_key`` of an instance."""
+
+    def _set_states(self, states, priorities) -> set:
+        """Store and check ``states`` and ``priorities``, set ``two_n``,
+        and return the set of states."""
+        self.states = tuple(states)
+        if len(set(self.states)) != len(self.states):
+            raise AutomatonError(f"duplicate states: {self.states}")
+        self.priorities = dict(priorities)
+        self.two_n = _check_priorities(self.states, self.priorities)
+        return set(self.states)
+
+    def priority(self, x: str) -> int:
+        return self.priorities[x]
+
+    def priority_class(self, i: int) -> tuple[str, ...]:
+        return tuple(x for x in self.states if self.priorities[x] == i)
+
+    def shifted(self, delta: int = 2):
+        """Copy with every priority shifted by an even delta."""
+        if delta % 2 != 0:
+            raise ValueError("priority shift must be even")
+        twin = copy.copy(self)
+        twin.priorities = {x: p + delta for x, p in self.priorities.items()}
+        twin.two_n = _check_priorities(self.states, twin.priorities)
+        return twin
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class ParityWordAutomaton(_Automaton):
     """Nondeterministic word automaton with a priority function.
 
     ``final`` marks states with an explicit termination option; it is only
@@ -134,23 +187,12 @@ class ParityWordAutomaton:
         priorities: Mapping[str, int],
         final: Iterable[str] = (),
     ):
-        self.states = tuple(states)
+        state_set = self._set_states(states, priorities)
         self.alphabet = tuple(alphabet)
-        if len(set(self.states)) != len(self.states):
-            raise AutomatonError(f"duplicate states: {self.states}")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise AutomatonError(f"duplicate letters: {self.alphabet}")
-        seen = set()
-        trans = []
-        for t in transitions:
-            if t not in seen:
-                seen.add(t)
-                trans.append(t)
-        self.transitions = tuple(trans)
-        self.priorities = dict(priorities)
+        self.transitions = tuple(dict.fromkeys(transitions))
         self.final = frozenset(final)
-        self.two_n = _check_priorities(self.states, self.priorities)
-        state_set = set(self.states)
         for (x, a, y) in self.transitions:
             if x not in state_set or y not in state_set:
                 raise AutomatonError(f"transition {x} {a} {y}: undeclared state")
@@ -167,39 +209,14 @@ class ParityWordAutomaton:
     def successors(self, x: str, a: str) -> tuple[str, ...]:
         return self._succ.get((x, a), ())
 
-    def priority(self, x: str) -> int:
-        return self.priorities[x]
-
-    def priority_class(self, i: int) -> tuple[str, ...]:
-        return tuple(x for x in self.states if self.priorities[x] == i)
-
-    def shifted(self, delta: int = 2) -> "ParityWordAutomaton":
-        """Copy with every priority shifted by an even delta."""
-        if delta % 2 != 0:
-            raise ValueError("priority shift must be even")
-        return ParityWordAutomaton(
-            self.states,
-            self.alphabet,
-            self.transitions,
-            {x: p + delta for x, p in self.priorities.items()},
-            self.final,
-        )
-
     def _key(self):
         return (
-            self.kind,
             frozenset(self.states),
             frozenset(self.alphabet),
             frozenset(self.transitions),
             frozenset(self.priorities.items()),
             self.final,
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ParityWordAutomaton) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 class BuchiWordAutomaton:
@@ -236,7 +253,7 @@ def buchi_to_parity(aut: BuchiWordAutomaton) -> ParityWordAutomaton:
     return aut._parity
 
 
-class ParityTreeAutomaton:
+class ParityTreeAutomaton(_Automaton):
     """Nondeterministic tree automaton over a ranked alphabet."""
 
     kind = "tree-parity"
@@ -248,33 +265,13 @@ class ParityTreeAutomaton:
         transitions: Iterable[tuple[str, str, tuple[str, ...]]],
         priorities: Mapping[str, int],
     ):
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise AutomatonError(f"duplicate states: {self.states}")
+        state_set = self._set_states(states, priorities)
         self.alphabet = alphabet
-        seen = set()
-        trans = []
-        for (x, sym, targets) in transitions:
-            t = (x, sym, tuple(targets))
-            if t not in seen:
-                seen.add(t)
-                trans.append(t)
-        self.transitions = tuple(trans)
-        self.priorities = dict(priorities)
-        self.two_n = _check_priorities(self.states, self.priorities)
-        state_set = set(self.states)
+        self.transitions = tuple(dict.fromkeys((x, sym, tuple(tg)) for x, sym, tg in transitions))
         for (x, sym, targets) in self.transitions:
             if x not in state_set:
                 raise AutomatonError(f"transition from undeclared state {x!r}")
-            n = alphabet.arity(sym)
-            if len(targets) != n:
-                raise AutomatonError(
-                    f"transition {x} -> {sym}{targets}: symbol has arity {n}, "
-                    f"got {len(targets)} children"
-                )
-            for y in targets:
-                if y not in state_set:
-                    raise AutomatonError(f"transition {x} -> {sym}{targets}: undeclared state {y!r}")
+            _check_targets("transition {x} -> {sym}{targets}", alphabet, x, sym, targets, state_set)
         succ: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
         for (x, sym, targets) in self.transitions:
             succ.setdefault(x, []).append((sym, targets))
@@ -283,39 +280,16 @@ class ParityTreeAutomaton:
     def transitions_from(self, x: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
         return self._succ.get(x, ())
 
-    def priority(self, x: str) -> int:
-        return self.priorities[x]
-
-    def priority_class(self, i: int) -> tuple[str, ...]:
-        return tuple(x for x in self.states if self.priorities[x] == i)
-
-    def shifted(self, delta: int = 2) -> "ParityTreeAutomaton":
-        if delta % 2 != 0:
-            raise ValueError("priority shift must be even")
-        return ParityTreeAutomaton(
-            self.states,
-            self.alphabet,
-            self.transitions,
-            {x: p + delta for x, p in self.priorities.items()},
-        )
-
     def _key(self):
         return (
-            self.kind,
             frozenset(self.states),
             tuple(sorted(self.alphabet._arity.items())),
             frozenset(self.transitions),
             frozenset(self.priorities.items()),
         )
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ParityTreeAutomaton) and self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
-class DeterministicExceptionAutomaton:
+class DeterministicExceptionAutomaton(_Automaton):
     """Deterministic automaton whose transition map may be undefined.
 
     An undefined ``delta(x)`` encodes the exception: a run reaching such a
@@ -333,28 +307,15 @@ class DeterministicExceptionAutomaton:
     ):
         if kind not in ("word", "tree"):
             raise AutomatonError(f"kind must be 'word' or 'tree', got {kind!r}")
-        self.states = tuple(states)
-        if len(set(self.states)) != len(self.states):
-            raise AutomatonError(f"duplicate states: {self.states}")
+        state_set = self._set_states(states, priorities)
         self.alphabet = alphabet
         self.delta = {x: (sym, tuple(targets)) for x, (sym, targets) in delta.items()}
-        self.priorities = dict(priorities)
         self.word_kind = kind == "word"
         self.kind = "word-det-exc" if self.word_kind else "tree-det-exc"
-        self.two_n = _check_priorities(self.states, self.priorities)
-        state_set = set(self.states)
         for x, (sym, targets) in self.delta.items():
             if x not in state_set:
                 raise AutomatonError(f"transition from undeclared state {x!r}")
-            n = alphabet.arity(sym)
-            if len(targets) != n:
-                raise AutomatonError(
-                    f"delta({x}) = {sym}{targets}: symbol has arity {n}, "
-                    f"got {len(targets)} children"
-                )
-            for y in targets:
-                if y not in state_set:
-                    raise AutomatonError(f"delta({x}): undeclared state {y!r}")
+            _check_targets("delta({x}) = {sym}{targets}", alphabet, x, sym, targets, state_set)
         if self.word_kind:
             for s in alphabet.symbols:
                 if alphabet.arity(s) != 1:
@@ -362,8 +323,14 @@ class DeterministicExceptionAutomaton:
                         f"word-kind automaton needs arity-1 symbols, {s!r} has {alphabet.arity(s)}"
                     )
 
-    def priority(self, x: str) -> int:
-        return self.priorities[x]
+    def _key(self):
+        return (
+            self.word_kind,
+            frozenset(self.states),
+            tuple(sorted(self.alphabet._arity.items())),
+            frozenset(self.delta.items()),
+            frozenset(self.priorities.items()),
+        )
 
 
 def validate(aut) -> list[str]:
@@ -395,7 +362,13 @@ def validate(aut) -> list[str]:
 # Text and JSON formats
 # ---------------------------------------------------------------------------
 
-_HEADERS = ("word-parity", "tree-parity", "word-det-exc", "tree-det-exc")
+#: The headers of the text format, each with the directives its kind reads.
+_HEADERS = {
+    "word-parity": {"alphabet", "states", "priorities", "accepting", "final", "trans"},
+    "tree-parity": {"ranked-alphabet", "states", "priorities", "trans"},
+    "word-det-exc": {"alphabet", "states", "priorities", "trans"},
+    "tree-det-exc": {"ranked-alphabet", "states", "priorities", "trans"},
+}
 _TREE_TRANS_RE = re.compile(r"^(\w+)\s*->\s*(\w+)\s*\(([^()]*)\)\s*$")
 
 
@@ -410,6 +383,30 @@ def _parse_lines(text: str):
             yield lineno, head.strip(), payload.strip()
         else:
             yield lineno, line, None
+
+
+def _int_pairs(payload: str, name: str, sep: str, number: str, lineno: int) -> list:
+    """The ``name<sep>number`` chunks of a directive as (name, int) pairs."""
+    pairs = []
+    for chunk in payload.split():
+        if sep not in chunk:
+            raise ParseError(f"expected {name}{sep}{number}, got {chunk!r}", lineno)
+        key, _, value = chunk.partition(sep)
+        try:
+            pairs.append((key, int(value)))
+        except ValueError:
+            raise ParseError(f"bad {number} in {chunk!r}", lineno) from None
+    return pairs
+
+
+def _det_delta(transitions) -> dict:
+    """The map ``x -> (symbol, targets)`` of a deterministic automaton's
+    ``(x, symbol, targets)`` transitions; a repeated transition is one."""
+    delta: dict[str, tuple[str, tuple[str, ...]]] = {}
+    for (x, sym, targets) in transitions:
+        if delta.setdefault(x, (sym, targets)) != (sym, targets):
+            raise AutomatonError(f"state {x!r} has more than one transition")
+    return delta
 
 
 def parse(text: str):
@@ -429,61 +426,47 @@ def parse(text: str):
     priorities: dict[str, int] = {}
     accepting: list[str] | None = None
     final: list[str] = []
-    word_trans: list[tuple[str, str, str]] = []
-    tree_trans: list[tuple[str, str, tuple[str, ...]]] = []
+    trans: list[tuple] = []
 
     for lineno, head, payload in _parse_lines(text):
         if payload is None:
             if head in _HEADERS:
                 if header is not None:
                     raise ParseError("duplicate header", lineno)
-                header = head
+                header, reads, tree = head, _HEADERS[head], head.startswith("tree")
                 continue
             raise ParseError(f"unexpected directive {head!r}", lineno)
         if header is None:
             raise ParseError(f"missing header line (one of {', '.join(_HEADERS)})", lineno)
+        if head not in reads:
+            if any(head in directives for directives in _HEADERS.values()):
+                raise ParseError(f"a {header} automaton takes no {head!r} line", lineno)
+            raise ParseError(f"unknown directive {head!r}", lineno)
         if head == "alphabet":
             alphabet.extend(payload.split())
         elif head == "ranked-alphabet":
-            for chunk in payload.split():
-                if "/" not in chunk:
-                    raise ParseError(f"expected symbol/arity, got {chunk!r}", lineno)
-                sym, _, ar = chunk.partition("/")
-                try:
-                    ranked.append((sym, int(ar)))
-                except ValueError:
-                    raise ParseError(f"bad arity in {chunk!r}", lineno) from None
+            ranked.extend(_int_pairs(payload, "symbol", "/", "arity", lineno))
         elif head == "states":
             states.extend(payload.split())
         elif head == "priorities":
-            for chunk in payload.split():
-                if ":" not in chunk:
-                    raise ParseError(f"expected state:priority, got {chunk!r}", lineno)
-                x, _, p = chunk.partition(":")
-                try:
-                    priorities[x] = int(p)
-                except ValueError:
-                    raise ParseError(f"bad priority in {chunk!r}", lineno) from None
+            priorities.update(_int_pairs(payload, "state", ":", "priority", lineno))
         elif head == "accepting":
             accepting = (accepting or []) + payload.split()
         elif head == "final":
             final.extend(payload.split())
-        elif head == "trans":
+        elif tree:
             body = payload.rstrip(";").strip()
-            if "->" in body:
-                m = _TREE_TRANS_RE.match(body)
-                if not m:
-                    raise ParseError(f"bad tree transition {body!r}", lineno)
-                x, sym, kids = m.group(1), m.group(2), m.group(3)
-                targets = tuple(s for s in re.split(r"[,\s]+", kids.strip()) if s)
-                tree_trans.append((x, sym, targets))
-            else:
-                parts = body.split()
-                if len(parts) != 3:
-                    raise ParseError(f"bad word transition {body!r}", lineno)
-                word_trans.append((parts[0], parts[1], parts[2]))
+            m = _TREE_TRANS_RE.match(body)
+            if not m:
+                raise ParseError(f"bad tree transition {body!r}", lineno)
+            x, sym, kids = m.groups()
+            trans.append((x, sym, tuple(s for s in re.split(r"[,\s]+", kids.strip()) if s)))
         else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
+            body = payload.rstrip(";").strip()
+            parts = body.split()
+            if len(parts) != 3 or "->" in body:
+                raise ParseError(f"bad word transition {body!r}", lineno)
+            trans.append(tuple(parts))
 
     if header is None:
         raise ParseError(f"missing header line (one of {', '.join(_HEADERS)})")
@@ -493,28 +476,18 @@ def parse(text: str):
     try:
         if header == "word-parity":
             if accepting is not None:
-                return BuchiWordAutomaton(states, alphabet, word_trans, accepting, final)
-            return ParityWordAutomaton(states, alphabet, word_trans, priorities, final)
+                return BuchiWordAutomaton(states, alphabet, trans, accepting, final)
+            return ParityWordAutomaton(states, alphabet, trans, priorities, final)
         if header == "tree-parity":
-            return ParityTreeAutomaton(states, RankedAlphabet(ranked), tree_trans, priorities)
+            return ParityTreeAutomaton(states, RankedAlphabet(ranked), trans, priorities)
         if header == "word-det-exc":
             ranked_word = RankedAlphabet([(a, 1) for a in alphabet])
-            delta: dict[str, tuple[str, tuple[str, ...]]] = {}
-            for (x, a, y) in word_trans:
-                if x in delta and delta[x] != (a, (y,)):
-                    raise AutomatonError(f"state {x!r} has more than one transition")
-                delta[x] = (a, (y,))
+            delta = _det_delta((x, a, (y,)) for (x, a, y) in trans)
             return DeterministicExceptionAutomaton(states, ranked_word, delta, priorities, "word")
-        if header == "tree-det-exc":
-            delta = {}
-            for (x, sym, targets) in tree_trans:
-                if x in delta and delta[x] != (sym, targets):
-                    raise AutomatonError(f"state {x!r} has more than one transition")
-                delta[x] = (sym, targets)
-            return DeterministicExceptionAutomaton(states, RankedAlphabet(ranked), delta, priorities, "tree")
+        delta = _det_delta(trans)
+        return DeterministicExceptionAutomaton(states, RankedAlphabet(ranked), delta, priorities, "tree")
     except AutomatonError as exc:
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unhandled header {header!r}")
 
 
 def serialize(aut, as_json: bool = False) -> str:
@@ -523,9 +496,7 @@ def serialize(aut, as_json: bool = False) -> str:
         return json.dumps(_to_json(aut), indent=2, sort_keys=True) + "\n"
     # the Buchi shorthand shares the word-parity header
     lines = ["word-parity" if isinstance(aut, BuchiWordAutomaton) else aut.kind]
-    if isinstance(aut, (ParityWordAutomaton, BuchiWordAutomaton)) or (
-        isinstance(aut, DeterministicExceptionAutomaton) and aut.word_kind
-    ):
+    if aut.kind.startswith("word"):
         letters = aut.alphabet.symbols if isinstance(aut.alphabet, RankedAlphabet) else aut.alphabet
         lines.append("alphabet: " + " ".join(letters))
     else:
@@ -558,31 +529,23 @@ def serialize(aut, as_json: bool = False) -> str:
 
 
 def _to_json(aut) -> dict:
-    doc: dict = {"schema_version": SCHEMA_VERSION, "kind": aut.kind}
-    if isinstance(aut, (ParityWordAutomaton, BuchiWordAutomaton)):
-        doc["alphabet"] = list(aut.alphabet)
-        doc["states"] = list(aut.states)
-        doc["transitions"] = [list(t) for t in sorted(aut.transitions)]
-        if isinstance(aut, BuchiWordAutomaton):
-            doc["accepting"] = sorted(aut.accepting)
-        else:
-            doc["priorities"] = dict(aut.priorities)
-        doc["final"] = sorted(aut.final)
-    elif isinstance(aut, ParityTreeAutomaton):
-        doc["ranked_alphabet"] = {s: aut.alphabet.arity(s) for s in aut.alphabet.symbols}
-        doc["states"] = list(aut.states)
-        doc["priorities"] = dict(aut.priorities)
-        doc["transitions"] = [[x, sym, list(tg)] for (x, sym, tg) in sorted(aut.transitions)]
-    elif isinstance(aut, DeterministicExceptionAutomaton):
-        if aut.word_kind:
-            doc["alphabet"] = list(aut.alphabet.symbols)
-        else:
-            doc["ranked_alphabet"] = {s: aut.alphabet.arity(s) for s in aut.alphabet.symbols}
-        doc["states"] = list(aut.states)
-        doc["priorities"] = dict(aut.priorities)
-        doc["delta"] = {x: [sym, list(tg)] for x, (sym, tg) in sorted(aut.delta.items())}
-    else:
+    if not isinstance(aut, (_Automaton, BuchiWordAutomaton)):
         raise AutomatonError(f"cannot serialize {type(aut).__name__}")
+    doc: dict = {"schema_version": SCHEMA_VERSION, "kind": aut.kind, "states": list(aut.states)}
+    if aut.kind.startswith("word"):
+        doc["alphabet"] = list(getattr(aut.alphabet, "symbols", aut.alphabet))
+    else:
+        doc["ranked_alphabet"] = {s: aut.alphabet.arity(s) for s in aut.alphabet.symbols}
+    if isinstance(aut, BuchiWordAutomaton):
+        doc["accepting"] = sorted(aut.accepting)
+    else:
+        doc["priorities"] = dict(aut.priorities)
+    if isinstance(aut, DeterministicExceptionAutomaton):
+        doc["delta"] = {x: [sym, list(tg)] for x, (sym, tg) in sorted(aut.delta.items())}
+    else:  # a tree transition's targets tuple becomes a JSON list
+        doc["transitions"] = [list(t) for t in sorted(aut.transitions)]
+    if hasattr(aut, "final"):
+        doc["final"] = sorted(aut.final)
     return doc
 
 
@@ -615,6 +578,17 @@ def _has_shape(value, shape) -> bool:
     return isinstance(value, shape) and not isinstance(value, bool)
 
 
+#: The fields each kind of JSON automaton reads, besides its schema version
+#: and kind.
+_JSON_FIELDS = {
+    "word-parity": {"states", "alphabet", "transitions", "priorities", "final"},
+    "word-buchi": {"states", "alphabet", "transitions", "accepting", "final"},
+    "tree-parity": {"states", "ranked_alphabet", "transitions", "priorities"},
+    "word-det-exc": {"states", "alphabet", "delta", "priorities"},
+    "tree-det-exc": {"states", "ranked_alphabet", "delta", "priorities"},
+}
+
+
 def _from_json(doc: dict):
     tree = doc.get("kind") == "tree-parity"
     shapes = {**_JSON_SHAPES, "transitions": _TREE_TRANSITIONS if tree else _WORD_TRANSITIONS}
@@ -624,21 +598,19 @@ def _from_json(doc: dict):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
     kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in _JSON_FIELDS:
+        raise ParseError(f"unknown kind {kind!r}")
+    extra = sorted(set(doc) - _JSON_FIELDS[kind] - {"schema_version", "kind"})
+    if extra:
+        raise ParseError(f"bad JSON automaton: a {kind} automaton takes no field {extra[0]!r}")
     try:
-        if kind == "word-parity":
-            return ParityWordAutomaton(
+        if kind in ("word-parity", "word-buchi"):
+            cls = ParityWordAutomaton if kind == "word-parity" else BuchiWordAutomaton
+            return cls(
                 doc["states"],
                 doc["alphabet"],
                 [tuple(t) for t in doc["transitions"]],
-                doc["priorities"],
-                doc.get("final", ()),
-            )
-        if kind == "word-buchi":
-            return BuchiWordAutomaton(
-                doc["states"],
-                doc["alphabet"],
-                [tuple(t) for t in doc["transitions"]],
-                doc["accepting"],
+                doc["priorities" if kind == "word-parity" else "accepting"],
                 doc.get("final", ()),
             )
         if kind == "tree-parity":
@@ -648,20 +620,18 @@ def _from_json(doc: dict):
                 [(x, sym, tuple(tg)) for x, sym, tg in doc["transitions"]],
                 doc["priorities"],
             )
-        if kind in ("word-det-exc", "tree-det-exc"):
-            word = kind == "word-det-exc"
-            alphabet = (
-                RankedAlphabet([(a, 1) for a in doc["alphabet"]])
-                if word
-                else RankedAlphabet(doc["ranked_alphabet"])
-            )
-            delta = {x: (sym, tuple(tg)) for x, (sym, tg) in doc["delta"].items()}
-            return DeterministicExceptionAutomaton(
-                doc["states"], alphabet, delta, doc["priorities"], "word" if word else "tree"
-            )
+        word = kind == "word-det-exc"
+        alphabet = (
+            RankedAlphabet([(a, 1) for a in doc["alphabet"]])
+            if word
+            else RankedAlphabet(doc["ranked_alphabet"])
+        )
+        delta = {x: (sym, tuple(tg)) for x, (sym, tg) in doc["delta"].items()}
+        return DeterministicExceptionAutomaton(
+            doc["states"], alphabet, delta, doc["priorities"], "word" if word else "tree"
+        )
     except (KeyError, AutomatonError) as exc:
         raise ParseError(f"bad JSON automaton: {exc}") from exc
-    raise ParseError(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +673,9 @@ def _letters(n: int) -> list:
     return list(_LETTERS[:n])
 
 
-def random_word_automaton(params: WordGenParams, seed) -> ParityWordAutomaton:
-    """Seed-deterministic random parity word automaton within the bounds."""
-    rng = _rng(seed)
+def _random_word_shape(params: WordGenParams, rng: random.Random):
+    """The states, letters and transitions of a random word automaton, the
+    first draws of both word generators."""
     states = [f"s{i}" for i in range(params.n_states)]
     alphabet = _letters(params.n_letters)
     transitions = [
@@ -715,6 +685,13 @@ def random_word_automaton(params: WordGenParams, seed) -> ParityWordAutomaton:
         for y in states
         if rng.random() < params.density
     ]
+    return states, alphabet, transitions
+
+
+def random_word_automaton(params: WordGenParams, seed) -> ParityWordAutomaton:
+    """Seed-deterministic random parity word automaton within the bounds."""
+    rng = _rng(seed)
+    states, alphabet, transitions = _random_word_shape(params, rng)
     priorities = {x: rng.randint(1, params.two_n) for x in states}
     final = [x for x in states if rng.random() < params.final_prob]
     return ParityWordAutomaton(states, alphabet, transitions, priorities, final)
@@ -722,15 +699,7 @@ def random_word_automaton(params: WordGenParams, seed) -> ParityWordAutomaton:
 
 def random_buchi_automaton(params: WordGenParams, seed) -> BuchiWordAutomaton:
     rng = _rng(seed)
-    states = [f"s{i}" for i in range(params.n_states)]
-    alphabet = _letters(params.n_letters)
-    transitions = [
-        (x, a, y)
-        for x in states
-        for a in alphabet
-        for y in states
-        if rng.random() < params.density
-    ]
+    states, alphabet, transitions = _random_word_shape(params, rng)
     accepting = [x for x in states if rng.random() < 0.5]
     final = [x for x in states if rng.random() < params.final_prob]
     return BuchiWordAutomaton(states, alphabet, transitions, accepting, final)

@@ -67,9 +67,10 @@ class DecorationError(Exception):
 # Lasso words
 # ---------------------------------------------------------------------------
 
-class LassoWord(namedtuple("LassoWord", "stem cycle")):
-    """The ultimately periodic word ``stem . cycle^omega``: a tuple of
-    letters ``stem`` and a nonempty tuple of letters ``cycle``."""
+class _Lasso(namedtuple("_Lasso", "stem cycle")):
+    """A tuple of letters ``stem`` and a nonempty tuple of letters ``cycle``,
+    read as ``stem . cycle^omega``; position p is letter p of
+    ``stem + cycle``."""
 
     __slots__ = ()
 
@@ -82,7 +83,7 @@ class LassoWord(namedtuple("LassoWord", "stem cycle")):
     def n_positions(self) -> int:
         return len(self.stem) + len(self.cycle)
 
-    def letter(self, p: int) -> str:
+    def letter(self, p: int):
         if p < len(self.stem):
             return self.stem[p]
         return self.cycle[p - len(self.stem)]
@@ -95,39 +96,28 @@ class LassoWord(namedtuple("LassoWord", "stem cycle")):
         return format_lasso(self)
 
 
-class DecoratedLassoWord(namedtuple("DecoratedLassoWord", "stem cycle")):
+class LassoWord(_Lasso):
+    """The ultimately periodic word ``stem . cycle^omega``."""
+
+    __slots__ = ()
+
+
+class DecoratedLassoWord(_Lasso):
     """A lasso over letter/priority pairs; the grade is the first priority."""
 
     __slots__ = ()
 
     def __new__(cls, stem, cycle):
-        if not cycle:
-            raise InputError("lasso cycle must be nonempty")
+        self = super().__new__(cls, stem, cycle)
         for (sym, p) in stem + cycle:
             if not isinstance(p, int) or p < 1:
                 raise InputError(f"priority must be a positive int, got {p!r} on {sym!r}")
-        return super().__new__(cls, stem, cycle)
+        return self
 
     @property
     def grade(self) -> int:
         first = self.stem[0] if self.stem else self.cycle[0]
         return first[1]
-
-    @property
-    def n_positions(self) -> int:
-        return len(self.stem) + len(self.cycle)
-
-    def letter(self, p: int) -> tuple[str, int]:
-        if p < len(self.stem):
-            return self.stem[p]
-        return self.cycle[p - len(self.stem)]
-
-    def next_pos(self, p: int) -> int:
-        q = p + 1
-        return q if q < self.n_positions else len(self.stem)
-
-    def __str__(self) -> str:
-        return format_lasso(self)
 
 
 def _primitive_root(cycle: tuple) -> tuple:
@@ -185,8 +175,6 @@ class RegularTreeRep:
     be reachable from the root.
     """
 
-    label_kind = "plain"
-
     def __init__(self, nodes: Mapping[str, tuple[Any, tuple[str, ...]]], root: str):
         self.nodes = {n: (lab, tuple(kids)) for n, (lab, kids) in nodes.items()}
         self.root = root
@@ -230,18 +218,11 @@ class RegularTreeRep:
         return f"{type(self).__name__}({self.nodes!r}, root={self.root!r})"
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.label_kind == other.label_kind
-            and self.root == other.root
-            and self.nodes == other.nodes
-        )
+        return type(other) is type(self) and self.root == other.root and self.nodes == other.nodes
 
 
 class DecoratedRegularTreeRep(RegularTreeRep):
     """Regular tree whose labels are symbol/priority pairs."""
-
-    label_kind = "decorated"
 
     def _check_labels(self):
         for n, (lab, _) in self.nodes.items():
@@ -292,8 +273,6 @@ class RunLasso(namedtuple("RunLasso", "stem cycle")):
 class RunTreeRep(RegularTreeRep):
     """A regular run tree: labels are (symbol, state) pairs."""
 
-    label_kind = "run"
-
     def _check_labels(self):
         for n, (lab, _) in self.nodes.items():
             if not (isinstance(lab, tuple) and len(lab) == 2):
@@ -342,8 +321,6 @@ def check_decorated_invariant(xi, expected_grade: int | None = None) -> list[str
         cycle_max = max(p for _, p in xi.cycle)
         if cycle_max % 2 != 0:
             problems.append(f"odd cycle maximum: {cycle_max}")
-        if expected_grade is not None and xi.grade != expected_grade:
-            problems.append(f"grade is {xi.grade}, expected {expected_grade}")
     elif isinstance(xi, DecoratedRegularTreeRep):
         succ = {n: kids for n, (_, kids) in xi.nodes.items()}
         found = cycle_with_max_parity(xi.nodes, succ, xi.priority, parity=1)
@@ -352,10 +329,10 @@ def check_decorated_invariant(xi, expected_grade: int | None = None) -> list[str
             problems.append(
                 f"reachable cycle with odd maximum priority {xi.priority(bad)} (at node {bad!r})"
             )
-        if expected_grade is not None and xi.grade != expected_grade:
-            problems.append(f"grade is {xi.grade}, expected {expected_grade}")
     else:
         raise TypeError(f"not a decorated input: {type(xi).__name__}")
+    if expected_grade is not None and xi.grade != expected_grade:
+        problems.append(f"grade is {xi.grade}, expected {expected_grade}")
     return problems
 
 
@@ -398,25 +375,23 @@ def decomp(xi):
     or a tree whose root lies on a cycle) keep their old priority, so the
     representation is unrolled by one step first.
     """
+    if not isinstance(xi, (DecoratedLassoWord, DecoratedRegularTreeRep)):
+        raise TypeError(f"not a decorated input: {type(xi).__name__}")
+    if xi.grade < 2:
+        raise ValueError("grade is already 1, cannot shift down")
     if isinstance(xi, DecoratedLassoWord):
-        if xi.grade < 2:
-            raise ValueError("grade is already 1, cannot shift down")
         if xi.stem:
             (sym, p) = xi.stem[0]
             return DecoratedLassoWord(((sym, p - 1),) + xi.stem[1:], xi.cycle)
         (sym, p) = xi.cycle[0]
         return DecoratedLassoWord(((sym, p - 1),), xi.cycle[1:] + (xi.cycle[0],))
-    if isinstance(xi, DecoratedRegularTreeRep):
-        if xi.grade < 2:
-            raise ValueError("grade is already 1, cannot shift down")
-        (sym, p), kids = xi.nodes[xi.root]
-        fresh = _FRESH_ROOT
-        while fresh in xi.nodes:
-            fresh += "'"
-        nodes = dict(xi.nodes)
-        nodes[fresh] = ((sym, p - 1), kids)
-        return DecoratedRegularTreeRep.pruned(nodes, fresh)
-    raise TypeError(f"not a decorated input: {type(xi).__name__}")
+    (sym, p), kids = xi.nodes[xi.root]
+    fresh = _FRESH_ROOT
+    while fresh in xi.nodes:
+        fresh += "'"
+    nodes = dict(xi.nodes)
+    nodes[fresh] = ((sym, p - 1), kids)
+    return DecoratedRegularTreeRep.pruned(nodes, fresh)
 
 
 # ---------------------------------------------------------------------------

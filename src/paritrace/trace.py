@@ -185,19 +185,11 @@ class RestrictedHes:
 
 def _masks_by_value(values) -> dict:
     """``value -> bitmask of the positions p with values[p] == value``;
-    positions whose value is None are left out.  Each mask is made once,
-    from a '0'/'1' string over the span of its positions."""
-    where: dict = {}
+    positions whose value is None are left out."""
+    masks: dict = {}
     for p, v in enumerate(values):
         if v is not None:
-            where.setdefault(v, []).append(p)
-    masks = {}
-    for v, ps in where.items():
-        lo, hi = ps[0], ps[-1]
-        buf = bytearray(b"0") * (hi - lo + 1)
-        for p in ps:
-            buf[hi - p] = 49  # ord("1"): bit p is character hi - p
-        masks[v] = int(buf, 2) << lo
+            masks[v] = masks.get(v, 0) | (1 << p)
     return masks
 
 
@@ -213,8 +205,7 @@ def predecessor_maps(children: Sequence[Sequence[int]]) -> tuple:
     bit ``p + d`` of ``S`` to bit ``p``.  Slot ``i`` is returned as the pair
     ``(right, left)`` of ``(shift, mask_d)`` tuples: right shifts by ``d``
     for ``d >= 0`` and left shifts by ``-d`` for ``d < 0``.  Each mask is
-    built once, so the cost is linear in the child slots plus the spans of
-    the offsets' positions.
+    built in the one pass over the slot's positions.
     """
     n = len(children)
     offsets: list[list] = []  # offsets[i][p]: children[p][i] - p, None without slot i
@@ -281,7 +272,8 @@ def make_phi_body(
     A *flat* group (one slot of at most two shifts, ``_flat_shift``, as in
     every lasso) is computed inline at every call, and the flat groups of
     one row that share a mask are one term: ``pre`` preserves unions, so
-    ``mask & pre(S_y | S_z | ...)`` ORs their values and shifts once.
+    ``mask & pre(S_y | S_z | ...)`` ORs their values and shifts once; a
+    state alone on its mask is such a term with one slot.
     Every other group reads keys ``(child slot, equation, domain index)``;
     each keeps the last argument it shifted and its image, and reuses the
     image while the assignment holds that same object (``is``), as most
@@ -309,8 +301,9 @@ def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
     ``rows[x]`` lists ``(successors, mask)`` pairs, ``slot_of`` maps a
     successor to its slot ``(equation_index, domain_index)``, and a pair
     with a successor it lacks is left out.  One pass over each row looks up
-    the slots, folds the mask into slot 0's two shift masks, and sorts the
-    pair into a flat term, grouped by its mask, or a keyed one."""
+    the slots and sorts each pair into a flat term, grouped by its mask,
+    or a keyed one; each flat term's mask is then folded into slot 0's two
+    shift masks."""
     flat0 = _flat_shift(preds[0]) if preds else None
     r, mr, l, ml = flat0 or (0, 0, 0, 0)
     keys: dict[tuple[int, int, int], int] = {}
@@ -328,13 +321,8 @@ def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
             if None not in slots:
                 idx = [keys.setdefault((i, k, yi), len(keys)) for i, (k, yi) in enumerate(slots)]
                 keyed.append((mask, tuple(idx)))
-        flat, grouped = [], []
-        for mask, slots in by_mask.items():
-            if len(slots) == 1:
-                flat.append((mask & mr, mask & ml, *slots[0]))
-            else:
-                grouped.append((mask & mr, mask & ml, tuple(slots)))
-        terms.append((tuple(flat), tuple(grouped), tuple(keyed)))
+        grouped = tuple((mask & mr, mask & ml, tuple(slots)) for mask, slots in by_mask.items())
+        terms.append((grouped, tuple(keyed)))
     # (equation, domain index, right shifts, left shifts), one entry per key
     inputs = tuple([(k, yi) + preds[i] for (i, k, yi) in keys])
 
@@ -357,11 +345,8 @@ def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
             memo[j] = (s, acc)
             pre.append(acc)
         out = []
-        for flat, grouped, keyed in terms:
+        for grouped, keyed in terms:
             acc = 0
-            for mask_r, mask_l, k, yi in flat:
-                s = assign[k][yi]
-                acc |= ((s >> r) & mask_r) | ((s << l) & mask_l)
             for mask_r, mask_l, slots in grouped:
                 s = 0
                 for k, yi in slots:

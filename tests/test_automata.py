@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from paritrace.automata import (
@@ -20,6 +22,8 @@ from paritrace.automata import (
     serialize,
     validate,
 )
+from paritrace.omega_input import random_regular_tree
+from paritrace.trace import tree_language_membership
 
 INTRO_TEXT = """
 # the two-state automaton from the worked example
@@ -192,6 +196,67 @@ class TestBuchiToParity:
     def test_all_accepting_constant_two(self):
         aut = BuchiWordAutomaton(("x",), ("a",), [("x", "a", "x")], {"x"})
         assert buchi_to_parity(aut).priorities == {"x": 2}
+
+
+class TestSharedCore:
+    """Priorities, shifting and equality, shared by every parity automaton."""
+
+    def test_tree_shift_keeps_membership(self):
+        rng = random.Random(7)
+        params = TreeGenParams(n_states=4, n_symbols=3, max_arity=2, two_n=4, density=0.6)
+        seen = set()
+        for seed in range(25):
+            aut = random_tree_automaton(params, seed)
+            before = dict(aut.priorities)
+            up = aut.shifted(2)
+            assert aut.priorities == before
+            assert up.priorities == {x: p + 2 for x, p in before.items()} and up.two_n == aut.two_n + 2
+            assert up.transitions == aut.transitions and up.priority_class(1) == ()
+            for _ in range(3):
+                tree = random_regular_tree(aut.alphabet, rng.randint(1, 6), rng)
+                x = rng.choice(aut.states)
+                verdict = tree_language_membership(aut, x, tree).value
+                assert tree_language_membership(up, x, tree).value == verdict
+                seen.add(verdict)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("delta", [1, -3])
+    def test_odd_shift_rejected(self, delta):
+        aut = parse(TREE_TEXT)
+        with pytest.raises(ValueError, match="even"):
+            aut.shifted(delta)
+
+    def test_shift_below_one_rejected(self):
+        with pytest.raises(AutomatonError, match=r"priority out of \[1,2n\]"):
+            parse(INTRO_TEXT).shifted(-2)
+
+    def test_kinds_are_never_equal(self):
+        unary = RankedAlphabet([("f", 1)])
+        word = ParityWordAutomaton(("x",), ("f",), [], {"x": 2})
+        tree = ParityTreeAutomaton(("x",), unary, [], {"x": 2})
+        det_word = DeterministicExceptionAutomaton(("x",), unary, {}, {"x": 2}, "word")
+        det_tree = DeterministicExceptionAutomaton(("x",), unary, {}, {"x": 2}, "tree")
+        auts = [word, tree, det_word, det_tree]
+        for i, a in enumerate(auts):
+            for j, b in enumerate(auts):
+                assert (a == b) == (i == j), (a.kind, b.kind)
+        assert len(set(auts)) == 4
+
+    def test_equal_automata_hash_equally(self):
+        for text in (INTRO_TEXT, APPENDIX_TEXT, TREE_TEXT):
+            a, b = parse(text), parse(text)
+            assert a is not b and a == b and hash(a) == hash(b)
+        det = random_det_exception_automaton(DetGenParams(), 3)
+        twin = DeterministicExceptionAutomaton(det.states[::-1], det.alphabet, det.delta, det.priorities)
+        assert det == twin and hash(det) == hash(twin)
+
+    @pytest.mark.parametrize("word", [False, True])
+    def test_det_exc_roundtrips_with_equality(self, word):
+        for seed in range(10):
+            aut = random_det_exception_automaton(DetGenParams(word=word), seed)
+            assert parse(serialize(aut)) == aut
+            assert parse(serialize(aut, as_json=True)) == aut
+            assert aut.shifted(2) != aut
 
 
 class TestGenerators:

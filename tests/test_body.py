@@ -125,6 +125,36 @@ def _reference_args(transitions, labels, children, aut, decorated):
     return transitions, symbols, children, prios, aut.priorities
 
 
+@pytest.mark.parametrize("kind", ["tree", "decorated-tree", "decorated-lasso"])
+def test_masks_equal_cell_by_cell_reference(kind):
+    """The generator's predecessor maps and ``trace._moves`` give the masks
+    of a position-by-position reading of the child lists and labels.  A
+    tree with leaves has positions without a given child slot (a ``None``
+    offset), which no mask of that slot holds."""
+    rng = random.Random(41)
+    slotless = 0
+    for seed in range(40):
+        (transitions, labels, preds, *_), reference = generator_args(kind, seed, rng)
+        original, symbols, children, prios, priority = reference
+        assert len(preds) == max(map(len, children))
+        for i, (right, left) in enumerate(preds):
+            by_offset: dict = {}
+            for p, kids in enumerate(children):
+                if i < len(kids):
+                    by_offset[kids[i] - p] = by_offset.get(kids[i] - p, 0) | (1 << p)
+                else:
+                    slotless += 1
+            assert {d: m for d, m in right} | {-d: m for d, m in left} == by_offset
+        moves: dict = {}
+        for x, sym, ys in original:
+            for p in range(len(labels)):
+                if symbols[p] == sym and (prios is None or prios[p] == priority[x]):
+                    row = moves.setdefault(x, {})
+                    row[ys] = row.get(ys, 0) | (1 << p)
+        assert trace._moves(transitions, labels) == moves
+    assert (slotless > 0) == kind.endswith("tree")
+
+
 def random_value(n_positions, rng):
     """A set of positions: empty, full, or random of varying density."""
     full = (1 << n_positions) - 1

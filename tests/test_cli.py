@@ -384,6 +384,29 @@ class TestBadFiles:
         code, _, err = run(capsys, ["member", str(path), "--state", "x", "--lasso", ";a"])
         assert_one_line_usage_error(code, err)
 
+    @pytest.mark.parametrize(
+        "text, command, line",
+        [
+            (INTRO.replace("trans: y b y;", "trans: y -> b(y);"), "member", 8),
+            (INTRO.replace("states:", "ranked-alphabet: f/2\nstates:"), "member", 3),
+            (TREE_AUT + "trans: x f x;\n", "tree-member", 6),
+            (TREE_AUT.replace("priorities:", "final: x\npriorities:"), "tree-member", 4),
+        ],
+        ids=["word-with-tree-transition", "word-with-ranked-alphabet", "tree-with-word-transition",
+             "tree-with-final"],
+    )
+    def test_line_of_another_kind(self, capsys, tmp_path, text, command, line):
+        """A line that the header's kind does not read is an error that
+        names its line, not a line silently dropped."""
+        aut = tmp_path / "bad.aut"
+        aut.write_text(text)
+        tree = tmp_path / "input.tree"
+        tree.write_text(TREE_INPUT)
+        argv = [command, str(aut)] + ([str(tree)] if command == "tree-member" else ["--lasso", ";ab"])
+        code, out, err = run(capsys, argv + ["--state", "x", "--both"])
+        assert_one_line_usage_error(code, err)
+        assert f"line {line}:" in err and out == ""
+
     def test_unreadable_fuzz_config(self, capsys, tmp_path):
         code, _, err = run(capsys, ["fuzz", "--config", str(tmp_path)])
         assert_one_line_usage_error(code, err)

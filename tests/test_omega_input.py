@@ -61,6 +61,12 @@ class TestLassoBasics:
         assert D((("b", 1),), (("a", 2),)).grade == 1
         assert D((), (("b", 2),)).grade == 2
 
+    def test_decorated_cycle_is_checked_before_priorities(self):
+        with pytest.raises(InputError, match="lasso cycle must be nonempty"):
+            D((("a", 0),), ())
+        with pytest.raises(InputError, match="priority must be a positive int"):
+            D((("a", 0),), (("b", 2),))
+
 
 class TestFlatten:
     def test_pinned_projection(self):
@@ -313,6 +319,14 @@ class TestTreeReps:
     def test_unreachable_nodes_rejected(self):
         with pytest.raises(InputError):
             RegularTreeRep({"a": ("c", ()), "b": ("c", ())}, "a")
+
+    def test_reps_of_different_types_are_never_equal(self):
+        nodes = {"n": (("f", 2), ("n",))}
+        decorated, run = DecoratedRegularTreeRep(nodes, "n"), RunTreeRep(nodes, "n")
+        assert decorated == DecoratedRegularTreeRep(dict(nodes), "n") and run == RunTreeRep(nodes, "n")
+        assert decorated != run and run != decorated
+        plain = RegularTreeRep({"n": ("f", ("n",))}, "n")
+        assert plain == delst(decorated) and plain != decorated and decorated != plain
 
     def test_pruned_drops_unreachable(self):
         t = RegularTreeRep.pruned({"a": ("c", ()), "b": ("c", ())}, "a")

@@ -4,6 +4,7 @@ documented error types: ``ParseError`` from automata and trees, and
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,3 +90,51 @@ class TestParsersRaiseDocumentedErrors:
     def test_lasso_parsers(self, text):
         raises_only(parse_lasso, text, (ParseError, InputError))
         raises_only(parse_decorated_lasso, text, (ParseError, InputError))
+
+
+#: A line that the header's kind does not read, with its 1-based number.
+FOREIGN_LINES = [
+    ("word-parity\nalphabet: a\nstates: x\npriorities: x:2\ntrans: x -> a(x);\n", 5),
+    ("word-parity\nalphabet: a\nranked-alphabet: f/2\nstates: x\npriorities: x:2\n", 3),
+    ("tree-parity\nranked-alphabet: f/1\nstates: x\npriorities: x:2\ntrans: x f x;\n", 5),
+    ("tree-parity\nranked-alphabet: f/1\nstates: x\npriorities: x:2\nfinal: x\n", 5),
+    ("tree-parity\nalphabet: a\nranked-alphabet: f/1\nstates: x\npriorities: x:2\n", 2),
+    ("tree-parity\nranked-alphabet: f/1\nstates: x\npriorities: x:2\naccepting: x\n", 5),
+    ("word-det-exc\nalphabet: a\nstates: x\npriorities: x:2\nfinal: x\n", 5),
+    ("word-det-exc\nalphabet: a\nstates: x\npriorities: x:2\ntrans: x -> a(x);\n", 5),
+    ("tree-det-exc\nranked-alphabet: f/1\nstates: x\npriorities: x:2\ntrans: x f x;\n", 5),
+]
+
+
+class TestLinesOfAnotherKind:
+    """A directive or transition form that the header's kind does not read
+    is an error on its own line, not a line silently dropped."""
+
+    @pytest.mark.parametrize("text, line", FOREIGN_LINES)
+    def test_text_line_is_rejected(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("text, line", FOREIGN_LINES)
+    def test_without_the_line_the_text_parses(self, text, line):
+        lines = text.splitlines()
+        parse("\n".join(lines[: line - 1] + lines[line:]))
+
+    @pytest.mark.parametrize(
+        "doc, field, value",
+        [
+            (SAMPLE_DOCS[0], "ranked_alphabet", {"a": 1}),
+            (SAMPLE_DOCS[0], "delta", {}),
+            (SAMPLE_DOCS[0], "accepting", []),
+            (SAMPLE_DOCS[2], "final", []),
+            (SAMPLE_DOCS[2], "alphabet", ["f"]),
+            (SAMPLE_DOCS[3], "transitions", []),
+            (SAMPLE_DOCS[3], "final", []),
+            (SAMPLE_DOCS[3], "colour", 1),
+        ],
+    )
+    def test_json_field_is_rejected(self, doc, field, value):
+        parse(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"takes no field '{field}'"):
+            parse(json.dumps({**doc, field: value}))

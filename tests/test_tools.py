@@ -60,3 +60,25 @@ def test_ab_rounds_rejects_a_tree_that_counts_differently(tmp_path, workload):
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert "error: the two trees give different outputs at op 0" in proc.stderr
     assert "body_evals=" in proc.stderr
+
+
+def test_ab_rounds_rejects_a_parser_that_drops_a_transition(tmp_path):
+    """Before the warm-up, each side serialises the automata it parsed: a
+    copy whose parser drops the word transitions on every fifth line is
+    refused before any engine call is compared or timed."""
+    src = ROOT / "src"
+    shutil.copytree(src / "paritrace", tmp_path / "paritrace")
+    automata_py = tmp_path / "paritrace" / "automata.py"
+    text = automata_py.read_text(encoding="utf-8")
+    kept = "trans.append(tuple(parts))"
+    assert text.count(kept) == 1
+    automata_py.write_text(text.replace(kept, kept + " if lineno % 5 else None"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), str(src), str(tmp_path), "deep-nesting"]
+        + ["--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert "error: the two trees parse automaton 0 differently" in proc.stderr

@@ -14,7 +14,10 @@ warm-up round per side, whose outputs must agree between the sides, and
 each timed round starts after a garbage collection.  An engine call's
 output is its whole ``MembershipVerdict``, the value and the ``SolveStats``
 counters, so the warm-up also checks that both trees count the same
-iterations, body evaluations, positions and widths.
+iterations, body evaluations, positions and widths.  Before it, each
+side serialises every automaton it parsed, and the two texts must be
+equal, so a parser change that alters what is parsed fails even where no
+verdict shows it.
 
 Prints each side's median and quartiles of the round time in ms, how many
 rounds each side won, and the median change from A to B.  Standard
@@ -53,10 +56,12 @@ def load(src: Path, name: str) -> dict:
 
 def make_round(mods: dict, workload: str, spec: dict):
     """Parse ``spec`` with one side's modules; return a function that runs
-    one round and returns its outputs."""
+    one round and returns its outputs, and each automaton as that side
+    serialises what it parsed."""
     automata, omega_input = mods["automata"], mods["omega_input"]
     oracle, trace = mods["oracle"], mods["trace"]
     auts = [automata.parse(text) for text in spec["automata"]]
+    parsed = [automata.serialize(aut) for aut in auts]
     if workload == "tree-cli":
         trees = [omega_input.parse_tree(text) for text in spec["trees"]]
         ops = [(auts[op["aut"]], op["state"], trees[op["tree"]]) for op in spec["ops"]]
@@ -82,15 +87,17 @@ def make_round(mods: dict, workload: str, spec: dict):
             def one(aut, x, w):
                 return trace.parity_trace_membership(aut, x, w)
 
-    return lambda: [one(*op) for op in ops]
+    return (lambda: [one(*op) for op in ops]), parsed
 
 
 def run(src_a: Path, src_b: Path, workload: str, seed: int, rounds: int, out=print) -> dict:
     spec = workloads.make_inputs(workload, seed)
-    sides = {
-        "A": make_round(load(src_a, "paritrace_ab_a"), workload, spec),
-        "B": make_round(load(src_b, "paritrace_ab_b"), workload, spec),
-    }
+    round_a, parsed_a = make_round(load(src_a, "paritrace_ab_a"), workload, spec)
+    round_b, parsed_b = make_round(load(src_b, "paritrace_ab_b"), workload, spec)
+    for i, (a, b) in enumerate(zip(parsed_a, parsed_b)):
+        if a != b:
+            raise SystemExit(f"error: the two trees parse automaton {i} differently: {a!r} != {b!r}")
+    sides = {"A": round_a, "B": round_b}
     outputs = sides["A"](), sides["B"]()
     for i, (a, b) in enumerate(zip(*outputs)):
         if a != b:
