@@ -41,7 +41,6 @@ __all__ = [
     "ParityTreeAutomaton",
     "DeterministicExceptionAutomaton",
     "buchi_to_parity",
-    "validate",
     "parse",
     "serialize",
     "WordGenParams",
@@ -135,7 +134,8 @@ def _check_targets(what, alphabet, x, sym, targets, state_set) -> None:
 
 class _Automaton:
     """The states and priorities that every parity automaton has, and
-    equality by the kind and ``_key`` of an instance."""
+    equality by the kind and ``_key`` of an instance, which
+    ``BuchiWordAutomaton`` shares."""
 
     def _set_states(self, states, priorities) -> set:
         """Store and check ``states`` and ``priorities``, set ``two_n``,
@@ -173,7 +173,7 @@ class ParityWordAutomaton(_Automaton):
     """Nondeterministic word automaton with a priority function.
 
     ``final`` marks states with an explicit termination option; it is only
-    consumed by the finite/infinitary-trace operations and does not affect
+    consumed by the finite-trace operations and does not affect
     parity membership.
     """
 
@@ -246,6 +246,18 @@ class BuchiWordAutomaton:
 
     def successors(self, x: str, a: str) -> tuple[str, ...]:
         return self._parity.successors(x, a)
+
+    def _key(self):
+        return (
+            frozenset(self.states),
+            frozenset(self.alphabet),
+            frozenset(self.transitions),
+            self.accepting,
+            self.final,
+        )
+
+    __eq__ = _Automaton.__eq__
+    __hash__ = _Automaton.__hash__
 
 
 def buchi_to_parity(aut: BuchiWordAutomaton) -> ParityWordAutomaton:
@@ -331,31 +343,6 @@ class DeterministicExceptionAutomaton(_Automaton):
             frozenset(self.delta.items()),
             frozenset(self.priorities.items()),
         )
-
-
-def validate(aut) -> list[str]:
-    """Re-run the structural checks on an instance; empty list means ok.
-
-    Construction already validates, so this catches instances whose fields
-    were mutated afterwards (or deserialised through a side door).
-    """
-    try:
-        if isinstance(aut, ParityWordAutomaton):
-            ParityWordAutomaton(aut.states, aut.alphabet, aut.transitions, aut.priorities, aut.final)
-        elif isinstance(aut, BuchiWordAutomaton):
-            BuchiWordAutomaton(aut.states, aut.alphabet, aut.transitions, aut.accepting, aut.final)
-        elif isinstance(aut, ParityTreeAutomaton):
-            ParityTreeAutomaton(aut.states, aut.alphabet, aut.transitions, aut.priorities)
-        elif isinstance(aut, DeterministicExceptionAutomaton):
-            DeterministicExceptionAutomaton(
-                aut.states, aut.alphabet, aut.delta, aut.priorities,
-                "word" if aut.word_kind else "tree",
-            )
-        else:
-            return [f"unknown automaton type {type(aut).__name__}"]
-    except AutomatonError as exc:
-        return [str(exc)]
-    return []
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ from .oracle import (
 from .trace import (
     BOTTOM,
     MAX_ENUM_WORDS,
+    _compact_system,
     buchi_trace_membership,
-    build_restricted_hes,
     decorated_trace_membership,
     det_exception_behavior,
     finite_trace_enum,
@@ -78,8 +78,8 @@ class CampaignConfig:
     """Bounds and switches for one campaign.
 
     ``mutation`` deliberately breaks a pipeline ("flip-signs" solves the
-    ordinary system with swapped mu/nu annotations) so that the harness can
-    demonstrate it actually detects bugs.
+    compacted system of ordinary membership with swapped mu/nu annotations)
+    so that the harness can demonstrate it actually detects bugs.
     """
 
     trials: int = 100
@@ -276,10 +276,10 @@ def _gen_word_trial(cfg: CampaignConfig, seed: int, index: int) -> _WordTrial:
 def _membership_for(cfg: CampaignConfig, aut, state, lasso) -> bool:
     """Ordinary membership, optionally sabotaged by the configured mutation."""
     if cfg.mutation == "flip-signs":
-        rh = build_restricted_hes(aut, lasso, "ordinary")
+        rh, k = _compact_system(aut, state, lasso, False)
         flipped = ["nu" if eq.sign == "mu" else "mu" for eq in rh.hes.equations]
         sol = hes_module.solve(rh.hes.with_signs(flipped))
-        return rh.member(sol.assignment, state, aut.priority(state))
+        return rh.member(sol.assignment, state, k)
     return parity_trace_membership(aut, state, lasso).value
 
 

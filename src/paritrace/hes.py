@@ -111,9 +111,6 @@ class Solution:
     def __repr__(self) -> str:
         return f"Solution({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
-    def __getitem__(self, var: str) -> Any:
-        return self.assignment[self.variables.index(var)]
-
 
 class _Solver:
     """The nested intermediate-solution scheme as one flat loop.
@@ -142,12 +139,13 @@ class _Solver:
     restart with one comparison per level.  The solver keeps no table of
     solved levels, since two runs of one level never see the same outer
     arguments; a body may still keep the last image of an input it reads
-    (``trace.make_phi_body`` does for a tree's keyed terms), as most of the
+    (``trace._phi_body`` does for a tree's keyed terms), as most of the
     assignment is the same object from one evaluation to the next.  The
-    set-up reads each equation's lattice, height, sign and start in one pass.
+    set-up reads each equation's lattice, height, sign and start in one pass,
+    and the body-evaluation budget from ``default_iteration_budget``.
     """
 
-    def __init__(self, hes: HierEqSystem, budget: int | None, warm_start: bool = True):
+    def __init__(self, hes: HierEqSystem, warm_start: bool = True):
         self.equations = hes.equations
         self.lattices, self.heights, self.ascending, self.starts = [], [], [], []
         for eq in hes.equations:
@@ -156,7 +154,7 @@ class _Solver:
             self.heights.append(lat.height())
             self.ascending.append(asc)
             self.starts.append(lat.bottom if asc else lat.top)
-        self.budget = budget if budget is not None else default_iteration_budget()
+        self.budget = default_iteration_budget()
         self.warm_start = warm_start
         self.steps = [0] * len(hes)
         self.body_evals = 0
@@ -220,13 +218,7 @@ class _Solver:
             self.body_evals = evals
 
 
-def solve(
-    hes: HierEqSystem,
-    *,
-    budget: int | None = None,
-    check: bool = True,
-    warm_start: bool = True,
-) -> Solution:
+def solve(hes: HierEqSystem, *, check: bool = True, warm_start: bool = True) -> Solution:
     """Solve a system by the nested intermediate-solution procedure.
 
     With ``check`` (the default) the returned assignment is substituted back
@@ -236,7 +228,7 @@ def solve(
     run then iterates from bottom/top); the tests use it to pin the
     optimization against the plain schedule.
     """
-    solver = _Solver(hes, budget, warm_start=warm_start)
+    solver = _Solver(hes, warm_start=warm_start)
     assignment = solver.prefix(len(hes), ())
     if check:
         for i, eq in enumerate(hes.equations):

@@ -2,9 +2,8 @@
 
 Ultimately periodic words are stored as stem+cycle lassos; regular trees as
 finite pointed node graphs.  The decorated variants carry a priority on
-every letter/node and come with the structural operations that make the
-datatype story executable: flattening (drop decorations), the one-step
-destructor, grade shifting, concatenation, unrolling and normalisation.
+every letter/node; flattening drops the priorities, and unrolling and
+normalisation change a lasso's representation but not its word.
 
 A decorated object is *law-abiding* when every infinite suffix/branch keeps
 seeing an even maximum priority; over these finite representations that is
@@ -19,7 +18,7 @@ from __future__ import annotations
 import random
 import re
 from collections import namedtuple
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .automata import ParseError, RankedAlphabet
 from .graphutil import cycle_with_max_parity, reachable_from
@@ -37,9 +36,6 @@ __all__ = [
     "delst",
     "decorate_run",
     "check_decorated_invariant",
-    "unfold_step",
-    "decomp",
-    "concat_mu",
     "unroll",
     "normalize",
     "parse_lasso",
@@ -48,8 +44,6 @@ __all__ = [
     "parse_tree",
     "serialize_tree",
     "tree_reps_bisimilar",
-    "unfold_prefix",
-    "all_lassos",
     "random_lasso",
     "random_regular_tree",
 ]
@@ -149,14 +143,6 @@ def unroll(w, k: int):
     return type(w)(w.stem + w.cycle * (k - 1), w.cycle)
 
 
-def concat_mu(prefix: Sequence[str], tail: LassoWord) -> LassoWord:
-    """Concatenate a nonempty finite word onto the front of a lasso."""
-    prefix = tuple(prefix)
-    if not prefix:
-        raise ValueError("prefix must be nonempty")
-    return type(tail)(prefix + tail.stem, tail.cycle)
-
-
 def flatten_word(xi: DecoratedLassoWord) -> LassoWord:
     """Drop all priorities pointwise."""
     return LassoWord(tuple(s for s, _ in xi.stem), tuple(s for s, _ in xi.cycle))
@@ -211,9 +197,6 @@ class RegularTreeRep:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self.nodes)
 
-    def rerooted(self, new_root: str):
-        return type(self).pruned(self.nodes, new_root)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.nodes!r}, root={self.root!r})"
 
@@ -262,12 +245,6 @@ class RunLasso(namedtuple("RunLasso", "stem cycle")):
     """
 
     __slots__ = ()
-
-    def word(self) -> LassoWord:
-        return LassoWord(tuple(a for a, _ in self.stem), tuple(a for a, _ in self.cycle))
-
-    def states(self) -> tuple[str, ...]:
-        return tuple(x for _, x in self.stem + self.cycle)
 
 
 class RunTreeRep(RegularTreeRep):
@@ -334,64 +311,6 @@ def check_decorated_invariant(xi, expected_grade: int | None = None) -> list[str
     if expected_grade is not None and xi.grade != expected_grade:
         problems.append(f"grade is {xi.grade}, expected {expected_grade}")
     return problems
-
-
-def unfold_step(xi):
-    """Pop the root symbol; return ``(symbol, ((grade, child), ...))``.
-
-    Each child is again a decorated input whose grade is its own first/root
-    priority.  For words the cycle is rotated into the stem position when
-    the stem runs out, so representations stay in step with the suffix.
-    """
-    if isinstance(xi, DecoratedLassoWord):
-        if xi.stem:
-            sym = xi.stem[0][0]
-            rest = xi.stem[1:]
-            if rest:
-                child = DecoratedLassoWord(rest, xi.cycle)
-            else:
-                child = DecoratedLassoWord((xi.cycle[0],), xi.cycle[1:] + (xi.cycle[0],))
-        else:
-            sym = xi.cycle[0][0]
-            child = DecoratedLassoWord((), xi.cycle[1:] + (xi.cycle[0],))
-        return sym, ((child.grade, child),)
-    if isinstance(xi, DecoratedRegularTreeRep):
-        sym = xi.symbol(xi.root)
-        kids = []
-        for c in xi.children(xi.root):
-            sub = xi.rerooted(c)
-            kids.append((sub.grade, sub))
-        return sym, tuple(kids)
-    raise TypeError(f"not a decorated input: {type(xi).__name__}")
-
-
-_FRESH_ROOT = "@root"
-
-
-def decomp(xi):
-    """Shift the grade down by one: only the first/root priority changes.
-
-    Recurring occurrences of the first letter (a lasso with an empty stem,
-    or a tree whose root lies on a cycle) keep their old priority, so the
-    representation is unrolled by one step first.
-    """
-    if not isinstance(xi, (DecoratedLassoWord, DecoratedRegularTreeRep)):
-        raise TypeError(f"not a decorated input: {type(xi).__name__}")
-    if xi.grade < 2:
-        raise ValueError("grade is already 1, cannot shift down")
-    if isinstance(xi, DecoratedLassoWord):
-        if xi.stem:
-            (sym, p) = xi.stem[0]
-            return DecoratedLassoWord(((sym, p - 1),) + xi.stem[1:], xi.cycle)
-        (sym, p) = xi.cycle[0]
-        return DecoratedLassoWord(((sym, p - 1),), xi.cycle[1:] + (xi.cycle[0],))
-    (sym, p), kids = xi.nodes[xi.root]
-    fresh = _FRESH_ROOT
-    while fresh in xi.nodes:
-        fresh += "'"
-    nodes = dict(xi.nodes)
-    nodes[fresh] = ((sym, p - 1), kids)
-    return DecoratedRegularTreeRep.pruned(nodes, fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -548,28 +467,6 @@ def tree_reps_bisimilar(t1: RegularTreeRep, t2: RegularTreeRep) -> bool:
             return False
         stack.extend(zip(ka, kb))
     return True
-
-
-def unfold_prefix(t: RegularTreeRep, depth: int):
-    """Finite unfolding to a nested ``(label, children)`` tuple, for tests."""
-    def go(n: str, d: int):
-        lab, kids = t.nodes[n]
-        if d == 0:
-            return (lab, "...") if kids else (lab, ())
-        return (lab, tuple(go(c, d - 1) for c in kids))
-
-    return go(t.root, depth)
-
-
-def all_lassos(alphabet: Sequence[str], max_stem: int, max_cycle: int) -> Iterator[LassoWord]:
-    """Every lasso with ``|stem| <= max_stem`` and ``1 <= |cycle| <= max_cycle``."""
-    import itertools
-
-    for ls in range(max_stem + 1):
-        for stem in itertools.product(alphabet, repeat=ls):
-            for lc in range(1, max_cycle + 1):
-                for cycle in itertools.product(alphabet, repeat=lc):
-                    yield LassoWord(stem, cycle)
 
 
 def random_lasso(

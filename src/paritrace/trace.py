@@ -17,20 +17,19 @@ Ordinary semantics alternates signs (mu on odd priority classes, nu on
 even ones); the decorated semantics is the all-nu system over the input's
 ``(symbol, priority)`` labels and the transitions relabelled with their
 source's priority, whose positive answers mean "some run realises exactly
-this decoration".  Büchi membership and run existence are parity
-membership of an encoding (``buchi_to_parity``, every state at priority
-2).  Every omega-input membership question is solved by
-``_compact_verdict``, at the automaton's alternation depth, over the states
-of the root's cone only: the cone of (x, root) is the set of (state,
-position) pairs that it reaches over enabled transitions
+this decoration".  Büchi membership is parity membership of its encoding
+(``buchi_to_parity``).  Every omega-input membership question is solved
+by ``_compact_verdict``, at the automaton's alternation depth, over the
+states of the root's cone only: the cone of (x, root) is the set of
+(state, position) pairs that it reaches over enabled transitions
 (``_cone_states``), the other states are left out, then empty classes are
 dropped and adjacent classes of one sign share an equation
-(``_compact_blocks``); ``build_restricted_hes`` keeps the literal system.
+(``_compact_blocks``, built by ``_compact_system``);
+``build_restricted_hes`` keeps the literal system.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import namedtuple
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -74,15 +73,12 @@ __all__ = [
     "FlatteningReport",
     "RestrictedHes",
     "build_restricted_hes",
-    "make_phi_body",
     "predecessor_maps",
     "parity_trace_membership",
     "buchi_trace_membership",
     "decorated_trace_membership",
     "tree_language_membership",
-    "finite_trace_membership",
     "finite_trace_enum",
-    "infinitary_trace_membership",
     "det_exception_behavior",
     "flattening_theorem_check",
 ]
@@ -166,14 +162,12 @@ class RestrictedHes:
         self.positions = tuple(positions)
         self.start = start
 
-    def member(self, assignment: tuple, state: str, priority: int, pos=None) -> bool:
-        """Does the suffix at ``pos`` (default: the input itself) belong to
-        the solved variable of ``state``?  ``priority`` is the 1-based index
-        of ``state``'s equation, which in the literal system is its
-        priority."""
-        pos = self.start if pos is None else pos
+    def member(self, assignment: tuple, state: str, priority: int) -> bool:
+        """Does the input belong to the solved variable of ``state``?
+        ``priority`` is the 1-based index of ``state``'s equation, which in
+        the literal system is its priority."""
         mask = self.carriers[priority - 1].get(assignment[priority - 1], state)
-        return bool((mask >> pos) & 1)
+        return bool((mask >> self.start) & 1)
 
     def solve(self, **kwargs) -> hes_mod.Solution:
         return hes_mod.solve(self.hes, **kwargs)
@@ -246,64 +240,40 @@ def _flat_shift(pred) -> tuple | None:
     return r, mr, l, ml
 
 
-def make_phi_body(
-    groups: Sequence[Sequence[tuple[Sequence[tuple[int, int]], int]]],
-    preds: Sequence[tuple[tuple, tuple]],
-    *,
-    widths: Sequence[int],
-) -> Callable[[tuple], tuple]:
-    """Build one equation body of the compose-map-recompose shape.
+def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
+    """One equation body of the compose-map-recompose shape.
 
-    ``groups[x]`` belongs to the x-th domain item of the equation's carrier
-    and lists ``(slots, mask)`` pairs, one per successor tuple of its
-    transitions: ``slots[i] = (equation_index, domain_index)`` is the
-    variable that must hold at child slot ``i``, and ``mask`` is the set of
-    positions whose symbol has a transition to that tuple.  ``preds`` are
-    the generator's predecessor maps (see ``predecessor_maps``) and
-    ``widths[k]`` is the number of domain items of equation ``k``.  The body
-    computes every position at once:
+    ``rows[x]`` belongs to the x-th domain item of the equation's carrier
+    and lists ``(successors, mask)`` pairs, one per successor tuple of its
+    transitions: ``mask`` is the set of positions whose label has a
+    transition to that tuple, and ``slot_of`` maps successor ``i`` to the
+    variable ``(equation_index, domain_index)`` that must hold at child
+    slot ``i``; a pair with a successor it lacks is left out.  ``preds``
+    are the generator's predecessor maps (see ``predecessor_maps``).  The
+    body computes every position at once:
 
-        out[x] = OR over (slots, mask) of mask & AND_i pre_i(S[slots[i]])
+        out[x] = OR over (successors, mask) of mask & AND_i pre_i(S[slot_i])
 
-    where ``S`` is the joint assignment.  A group without slots (a nullary
-    position) yields its mask unchanged.  The body is monotone by
+    where ``S`` is the joint assignment.  A pair without successors (a
+    nullary position) yields its mask unchanged.  The body is monotone by
     construction (slots are positive).
 
-    A *flat* group (one slot of at most two shifts, ``_flat_shift``, as in
-    every lasso) is computed inline at every call, and the flat groups of
-    one row that share a mask are one term: ``pre`` preserves unions, so
-    ``mask & pre(S_y | S_z | ...)`` ORs their values and shifts once; a
-    state alone on its mask is such a term with one slot.
-    Every other group reads keys ``(child slot, equation, domain index)``;
-    each keeps the last argument it shifted and its image, and reuses the
-    image while the assignment holds that same object (``is``), as most
-    values are unchanged between two steps of a nested solve.  The pair is
-    replaced in one assignment, so two threads evaluating one body never
-    read an argument with another argument's image; an equal value in a
-    distinct object is only recomputed.
+    One pass over each row looks up the slots and sorts each pair into a
+    flat or a keyed term.  A *flat* pair (one slot of at most two shifts,
+    ``_flat_shift``, as in every lasso) is computed inline at every call,
+    and the flat pairs of one row that share a mask are one term: ``pre``
+    preserves unions, so ``mask & pre(S_y | S_z | ...)`` ORs their values
+    and shifts once; a state alone on its mask is such a term with one
+    slot.  Each flat term's mask is folded into slot 0's two shift masks.
+    Every other pair is a keyed term that reads keys ``(child slot,
+    equation, domain index)``; each key keeps the last argument it shifted
+    and its image, and reuses the image while the assignment holds that
+    same object (``is``), as most values are unchanged between two steps of
+    a nested solve.  The (argument, image) pair is replaced in one
+    assignment, so two threads evaluating one body never read an argument
+    with another argument's image; an equal value in a distinct object is
+    only recomputed.
     """
-    slot_of = {}
-    for row in groups:
-        for slots, _ in row:
-            for i, (k, yi) in enumerate(slots):
-                if not (0 <= k < len(widths)):
-                    raise ValueError(f"slot {(k, yi)}: equation index out of range")
-                if not (0 <= yi < widths[k]):
-                    raise ValueError(f"slot {(k, yi)}: state index out of range")
-                if i >= len(preds):
-                    raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
-                slot_of[k, yi] = (k, yi)
-    return _phi_body(groups, slot_of, preds)
-
-
-def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
-    """The row builder of ``make_phi_body`` and ``_system_from_moves``:
-    ``rows[x]`` lists ``(successors, mask)`` pairs, ``slot_of`` maps a
-    successor to its slot ``(equation_index, domain_index)``, and a pair
-    with a successor it lacks is left out.  One pass over each row looks up
-    the slots and sorts each pair into a flat term, grouped by its mask,
-    or a keyed one; each flat term's mask is then folded into slot 0's two
-    shift masks."""
     flat0 = _flat_shift(preds[0]) if preds else None
     r, mr, l, ml = flat0 or (0, 0, 0, 0)
     keys: dict[tuple[int, int, int], int] = {}
@@ -606,10 +576,10 @@ def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHe
     return _system_from_moves(moves, len(labels), preds, root, partition, signs)
 
 
-def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdict:
-    """Solve the compacted system of ``aut`` over the states of the cone of
-    ``(x, root)``, restricted to ``input_obj``, and ask whether the input
-    lies in ``x``'s variable.
+def _compact_system(aut, x: str, input_obj, decorated: bool) -> tuple:
+    """The compacted system of ``aut`` over the states of the cone of
+    ``(x, root)``, restricted to ``input_obj``, and the 1-based index of
+    ``x``'s equation in it.
 
     The cone is closed under the dependencies of its pairs, so leaving out
     the other states, and every move to them, changes no value on it."""
@@ -617,10 +587,17 @@ def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdi
     moves = _moves(transitions, labels)
     cone = _cone_states(moves, preds, labels, aut.states, x, root)
     partition, signs, block_of = _compact_blocks(aut, decorated, cone)
-    rh = _system_from_moves(moves, len(labels), preds, root, partition, signs)
+    return _system_from_moves(moves, len(labels), preds, root, partition, signs), block_of[x]
+
+
+def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdict:
+    """Solve the compacted system of ``_compact_system`` and ask whether
+    the input lies in ``x``'s variable."""
+    rh, k = _compact_system(aut, x, input_obj, decorated)
     sol = rh.solve()
-    stats = SolveStats(sol.iterations, sol.body_evals, len(labels), tuple(map(len, partition)))
-    return MembershipVerdict(rh.member(sol.assignment, x, block_of[x]), stats)
+    widths = tuple([len(carrier.domain) for carrier in rh.carriers])
+    stats = SolveStats(sol.iterations, sol.body_evals, len(rh.positions), widths)
+    return MembershipVerdict(rh.member(sol.assignment, x, k), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -692,21 +669,6 @@ def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> Restrict
     return _system_from_moves(moves, len(labels), preds, 0, [aut.states], [MU])
 
 
-def finite_trace_membership(aut: ParityWordAutomaton, x: str, word) -> bool:
-    """Does some run over the finite word end with the termination flag?
-
-    The generator is the word followed by a nullary end position.
-    """
-    _require_state(aut, x)
-    word = tuple(word)
-    missing = set(word) - set(aut.alphabet)
-    if missing:
-        raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
-    children = tuple((p + 1,) for p in range(len(word))) + ((),)
-    rh = _finite_trace_system(aut, word + (_TICK,), children)
-    return rh.member(rh.solve().assignment, x, 1)
-
-
 def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozenset:
     """All termination-flagged words of length <= maxlen accepted from x.
 
@@ -743,19 +705,6 @@ def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozense
         return tuple(letters)
 
     return frozenset(word(p) for p in range(len(labels)) if (mask >> p) & 1)
-
-
-def infinitary_trace_membership(aut: ParityWordAutomaton, x: str, w: LassoWord) -> bool:
-    """Does any infinite run over the lasso exist from x (acceptance ignored)?
-
-    Parity membership of the copy of ``aut`` with every state at priority
-    2, in which every infinite run is accepting.  The copy shares the
-    already validated states and transitions instead of building them again.
-    """
-    _require_state(aut, x)
-    every_run = copy.copy(aut)
-    every_run.priorities, every_run.two_n = dict.fromkeys(aut.states, 2), 2
-    return _compact_verdict(every_run, x, w, False).value
 
 
 def det_exception_behavior(aut: DeterministicExceptionAutomaton, x: str):

@@ -1,4 +1,4 @@
-"""The per-cell restricted body: the reference for ``trace.make_phi_body``.
+"""The per-cell restricted body: the reference for ``trace._phi_body``.
 
 It evaluates one (state, position) cell at a time: position ``p`` enters
 the set of state ``x`` when some transition of ``x`` on ``p``'s symbol has

@@ -237,4 +237,4 @@ def intermediate(hes: HierEqSystem, i: int, j: int, outer_args: Sequence[Any] = 
     outer_args = tuple(outer_args)
     if len(outer_args) != m - i:
         raise ValueError(f"expected {m - i} outer arguments, got {len(outer_args)}")
-    return _Solver(hes, None).prefix(i, outer_args)[j - 1]
+    return _Solver(hes).prefix(i, outer_args)[j - 1]

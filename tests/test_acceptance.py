@@ -11,6 +11,7 @@ import time
 import pytest
 from brute import brute_solve
 from genhes import random_hes
+from inputs import all_lassos
 
 from paritrace.automata import (
     DetGenParams,
@@ -27,7 +28,6 @@ from paritrace.hes import solve
 from paritrace.lattice import MU, NU
 from paritrace.omega_input import (
     DecoratedLassoWord,
-    all_lassos,
     check_decorated_invariant,
     normalize,
     random_lasso,

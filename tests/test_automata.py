@@ -20,10 +20,23 @@ from paritrace.automata import (
     random_tree_automaton,
     random_word_automaton,
     serialize,
-    validate,
 )
 from paritrace.omega_input import random_regular_tree
 from paritrace.trace import tree_language_membership
+
+def rebuilt(aut):
+    """A fresh instance of ``aut``'s kind from its fields: the constructor
+    re-runs every structural check."""
+    if isinstance(aut, ParityWordAutomaton):
+        return ParityWordAutomaton(aut.states, aut.alphabet, aut.transitions, aut.priorities, aut.final)
+    if isinstance(aut, BuchiWordAutomaton):
+        return BuchiWordAutomaton(aut.states, aut.alphabet, aut.transitions, aut.accepting, aut.final)
+    if isinstance(aut, ParityTreeAutomaton):
+        return ParityTreeAutomaton(aut.states, aut.alphabet, aut.transitions, aut.priorities)
+    return DeterministicExceptionAutomaton(
+        aut.states, aut.alphabet, aut.delta, aut.priorities, "word" if aut.word_kind else "tree"
+    )
+
 
 INTRO_TEXT = """
 # the two-state automaton from the worked example
@@ -81,7 +94,7 @@ class TestParsing:
     def test_degenerate_deadlock_automaton(self):
         aut = parse("word-parity\nalphabet: a\nstates: x\npriorities: x:1\n")
         assert aut.transitions == ()
-        assert validate(aut) == []
+        assert rebuilt(aut) == aut
 
     def test_accepting_shorthand_gives_buchi(self):
         text = INTRO_TEXT.replace("priorities: x:1 y:2", "accepting: y")
@@ -146,7 +159,8 @@ class TestValidation:
     def test_validate_reports_mutated_instance(self):
         aut = parse(INTRO_TEXT)
         aut.priorities["x"] = 0  # sidestep the constructor
-        assert validate(aut) != []
+        with pytest.raises(AutomatonError, match=r"priority out of \[1,2n\]"):
+            rebuilt(aut)
 
 
 class TestSerialization:
@@ -171,7 +185,7 @@ class TestSerialization:
         aut = BuchiWordAutomaton(("x", "y"), ("a",), [("x", "a", "y")], {"y"})
         via_json = parse(serialize(aut, as_json=True))
         assert isinstance(via_json, BuchiWordAutomaton)
-        assert via_json.accepting == {"y"}
+        assert via_json == aut
 
     def test_det_exc_roundtrip(self):
         alph = RankedAlphabet([("f", 2), ("c", 0)])
@@ -236,11 +250,13 @@ class TestSharedCore:
         tree = ParityTreeAutomaton(("x",), unary, [], {"x": 2})
         det_word = DeterministicExceptionAutomaton(("x",), unary, {}, {"x": 2}, "word")
         det_tree = DeterministicExceptionAutomaton(("x",), unary, {}, {"x": 2}, "tree")
-        auts = [word, tree, det_word, det_tree]
+        buchi = BuchiWordAutomaton(("x",), ("f",), [], {"x"})
+        auts = [word, tree, det_word, det_tree, buchi]
         for i, a in enumerate(auts):
             for j, b in enumerate(auts):
                 assert (a == b) == (i == j), (a.kind, b.kind)
-        assert len(set(auts)) == 4
+        assert len(set(auts)) == 5
+        assert buchi != buchi_to_parity(buchi)
 
     def test_equal_automata_hash_equally(self):
         for text in (INTRO_TEXT, APPENDIX_TEXT, TREE_TEXT):
@@ -249,6 +265,33 @@ class TestSharedCore:
         det = random_det_exception_automaton(DetGenParams(), 3)
         twin = DeterministicExceptionAutomaton(det.states[::-1], det.alphabet, det.delta, det.priorities)
         assert det == twin and hash(det) == hash(twin)
+
+    def test_buchi_equality_reads_every_field(self):
+        aut = BuchiWordAutomaton(("x", "y"), ("a", "b"), [("x", "a", "y")], {"y"}, {"x"})
+        twin = BuchiWordAutomaton(("y", "x"), ("b", "a"), [("x", "a", "y")], {"y"}, {"x"})
+        assert aut == twin and hash(aut) == hash(twin)
+        others = [
+            BuchiWordAutomaton(("x", "y", "z"), ("a", "b"), [("x", "a", "y")], {"y"}, {"x"}),
+            BuchiWordAutomaton(("x", "y"), ("a",), [("x", "a", "y")], {"y"}, {"x"}),
+            BuchiWordAutomaton(("x", "y"), ("a", "b"), [("x", "b", "y")], {"y"}, {"x"}),
+            BuchiWordAutomaton(("x", "y"), ("a", "b"), [("x", "a", "y")], {"x"}, {"x"}),
+            BuchiWordAutomaton(("x", "y"), ("a", "b"), [("x", "a", "y")], {"y"}),
+        ]
+        for other in others:
+            assert other != aut
+
+    @pytest.mark.parametrize("kind", ["word-parity", "word-buchi", "tree-parity"])
+    def test_nondeterministic_kinds_roundtrip_with_equality(self, kind):
+        make = {
+            "word-parity": lambda s: random_word_automaton(WordGenParams(), s),
+            "word-buchi": lambda s: random_buchi_automaton(WordGenParams(), s),
+            "tree-parity": lambda s: random_tree_automaton(TreeGenParams(), s),
+        }[kind]
+        for seed in range(10):
+            aut = make(seed)
+            assert aut.kind == kind
+            assert parse(serialize(aut)) == aut
+            assert parse(serialize(aut, as_json=True)) == aut
 
     @pytest.mark.parametrize("word", [False, True])
     def test_det_exc_roundtrips_with_equality(self, word):
@@ -275,11 +318,11 @@ class TestGenerators:
             aut = random_word_automaton(
                 WordGenParams(n_states=4, n_letters=2, two_n=4, density=0.5), seed
             )
-            assert validate(aut) == []
+            assert rebuilt(aut) == aut
             taut = random_tree_automaton(TreeGenParams(), seed)
-            assert validate(taut) == []
+            assert rebuilt(taut) == taut
             daut = random_det_exception_automaton(DetGenParams(), seed)
-            assert validate(daut) == []
+            assert rebuilt(daut) == daut
 
     def test_letters_above_cap_rejected(self):
         assert len(random_word_automaton(WordGenParams(n_letters=8), 0).alphabet) == 8

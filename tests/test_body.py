@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from cellbody import cell_bodies
+from routes import make_phi_body
 from test_trace import wide_tree_case
 
 from paritrace import trace
@@ -429,7 +430,7 @@ def test_make_phi_body_groups_by_mask_and_checks_slots():
         [(((0, 2),), m2), (((0, 2),), m2)],
         [],
     ]
-    body = trace.make_phi_body(groups, preds, widths=(3,))
+    body = make_phi_body(groups, preds, widths=(3,))
     rng = random.Random("phi-groups")
     for _ in range(200):
         assign = (tuple([rng.getrandbits(5) for _ in range(3)]),)
@@ -440,7 +441,7 @@ def test_make_phi_body_groups_by_mask_and_checks_slots():
         ([[(((0, 0), (0, 1)), 1)]], "no position has a child slot 1"),
     ):
         with pytest.raises(ValueError, match=message):
-            trace.make_phi_body(bad, preds, widths=(3,))
+            make_phi_body(bad, preds, widths=(3,))
 
 
 def test_make_phi_body_equals_fused_build():
@@ -463,7 +464,7 @@ def test_make_phi_body_equals_fused_build():
                     ]
                     for x in block
                 ]
-                body = trace.make_phi_body(groups, preds, widths=widths)
+                body = make_phi_body(groups, preds, widths=widths)
                 for _ in range(4):
                     assign = tuple(
                         tuple([random_value(len(labels), rng) for _ in c.domain])

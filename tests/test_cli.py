@@ -575,7 +575,9 @@ class TestColdStart:
 @pytest.mark.skipif(not SAMPLES.exists(), reason="samples directory not present")
 class TestShippedCorpus:
     def test_both_never_disagrees_on_word_samples(self, capsys):
-        from paritrace.omega_input import all_lassos, format_lasso
+        from inputs import all_lassos
+
+        from paritrace.omega_input import format_lasso
         from paritrace.automata import parse, BuchiWordAutomaton, buchi_to_parity
 
         for name in ("intro.aut", "appendix.aut", "buchi.aut"):

@@ -92,6 +92,25 @@ class TestMutationSmoke:
         # shrinking keeps counterexamples small
         assert any("automaton" in ce for ce in res.counterexamples)
 
+    def test_flipped_signs_sabotage_the_compacted_system(self, monkeypatch):
+        """The mutation flips the system that membership solves, so it is
+        detected, and shrunk, without building the literal system."""
+        from paritrace import harness, trace
+
+        def literal(*args, **kwargs):
+            raise AssertionError("flip-signs built the literal system")
+
+        monkeypatch.setattr(trace, "build_restricted_hes", literal)
+        monkeypatch.setattr(harness, "build_restricted_hes", literal, raising=False)
+        cfg = CampaignConfig(
+            trials=60, mutation="flip-signs", properties=("engine-vs-oracle",)
+        )
+        res = campaign(cfg, seed=1).results[0]
+        assert res.failed > 0 and res.counterexamples
+        for ce in res.counterexamples:
+            head, _, aut_text = ce.partition("automaton=\n")
+            assert head.startswith("engine=") and "states: " in aut_text
+
     def test_shrunk_counterexample_still_fails(self):
         from paritrace.automata import parse
         from paritrace.harness import _membership_for

@@ -14,6 +14,7 @@ from fixpoints import (
     kleene_lfp,
 )
 from genhes import random_hes
+from routes import make_phi_body
 
 from paritrace.hes import (
     MAX_NESTING,
@@ -30,7 +31,7 @@ from paritrace.lattice import (
     MonotonicityError,
     PowersetLattice,
 )
-from paritrace.trace import make_phi_body, predecessor_maps
+from paritrace.trace import predecessor_maps
 
 P2 = PowersetLattice((0, 1))
 P1 = PowersetLattice(("p",))
@@ -49,7 +50,7 @@ class TestSolveBasics:
 
     def test_solution_indexing(self):
         sol = solve(single(NU))
-        assert sol["u1"] == P2.top
+        assert sol.variables == ("u1",) and sol.assignment == (P2.top,)
 
     def test_order_sensitivity_pinned(self):
         # u1 =mu u2, u2 =nu u1 solves to ({p},{p}); swapping the signs to

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from inputs import concat_mu, decomp, unfold_prefix, unfold_step
 
 from paritrace.automata import ParseError
 from paritrace.omega_input import (
@@ -15,8 +16,6 @@ from paritrace.omega_input import (
     RunLasso,
     RunTreeRep,
     check_decorated_invariant,
-    concat_mu,
-    decomp,
     decorate_run,
     delst,
     flatten_word,
@@ -28,8 +27,6 @@ from paritrace.omega_input import (
     random_lasso,
     serialize_tree,
     tree_reps_bisimilar,
-    unfold_prefix,
-    unfold_step,
     unroll,
 )
 

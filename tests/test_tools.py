@@ -1,5 +1,6 @@
 """Smoke test of the in-process A/B timing script."""
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -82,3 +83,36 @@ def test_ab_rounds_rejects_a_parser_that_drops_a_transition(tmp_path):
     )
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert "error: the two trees parse automaton 0 differently" in proc.stderr
+
+
+def _code_references(paths) -> set:
+    """Every name that the code under ``paths`` reads: ``ast.Name`` ids,
+    ``ast.Attribute`` attributes and import aliases, not strings."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_every_public_name_in_src_has_a_caller_outside_tests():
+    """A name in a module's ``__all__`` is library code only if ``src/``,
+    ``benchmarks/`` or ``tools/`` refers to it in code; names that only the
+    tests use belong in ``tests/``."""
+    used = _code_references(
+        p for d in ("src", "benchmarks", "tools") for p in sorted((ROOT / d).rglob("*.py"))
+    )
+    unused = []
+    for path in sorted((ROOT / "src" / "paritrace").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names = ast.literal_eval(node.value)
+                unused += [f"{path.stem}.{n}" for n in names if n not in used]
+    assert unused == []

@@ -5,6 +5,8 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from inputs import all_lassos
+from routes import finite_trace_membership, infinitary_trace_membership
 
 from paritrace import graphutil, trace
 from paritrace import hes as hes_mod
@@ -31,7 +33,6 @@ from paritrace.omega_input import (
     LassoWord,
     RegularTreeRep,
     RunLasso,
-    all_lassos,
     decorate_run,
     normalize,
     parse_decorated_lasso,
@@ -53,9 +54,7 @@ from paritrace.trace import (
     decorated_trace_membership,
     det_exception_behavior,
     finite_trace_enum,
-    finite_trace_membership,
     flattening_theorem_check,
-    infinitary_trace_membership,
     parity_trace_membership,
     tree_language_membership,
 )
@@ -1248,5 +1247,5 @@ class TestValueClasses:
     def test_solution_equality_and_repr(self):
         system = build_restricted_hes(intro_automaton(), parse_lasso(";ba"), "ordinary").hes
         a, b = hes_mod.solve(system), hes_mod.solve(system)
-        assert a == b and a["u1"] == a.assignment[0]
+        assert a == b and a.variables[0] == "u1"
         assert repr(a) == repr(b) and repr(a).startswith("Solution(assignment=")
