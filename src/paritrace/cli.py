@@ -189,12 +189,10 @@ def _cmd_witness(args) -> int:
 
 def _cmd_finite_traces(args) -> int:
     aut = _load_automaton(args.automaton, ParityWordAutomaton)
-    words = sorted(
-        trace_mod.finite_trace_enum(aut, args.state, args.max_len),
-        key=lambda w: (len(w), w),
-    )
+    words, stats = trace_mod._finite_traces(aut, args.state, args.max_len)
+    words = sorted(words, key=lambda w: (len(w), w))
     rendered = ["" if not w else ",".join(w) if any(len(s) > 1 for s in w) else "".join(w) for w in words]
-    doc = {"schema_version": 1, "words": rendered}
+    doc = {"schema_version": 1, "words": rendered, "stats": stats.to_json()}
     if args.json:
         print(json.dumps(doc, sort_keys=True))
     else:

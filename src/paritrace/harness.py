@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import hes as hes_module
 from .automata import (
     _LETTERS,
     DetGenParams,
@@ -51,6 +50,8 @@ from .trace import (
     BOTTOM,
     MAX_ENUM_WORDS,
     _compact_system,
+    _holds,
+    _solve,
     buchi_trace_membership,
     decorated_trace_membership,
     det_exception_behavior,
@@ -276,10 +277,9 @@ def _gen_word_trial(cfg: CampaignConfig, seed: int, index: int) -> _WordTrial:
 def _membership_for(cfg: CampaignConfig, aut, state, lasso) -> bool:
     """Ordinary membership, optionally sabotaged by the configured mutation."""
     if cfg.mutation == "flip-signs":
-        rh, k = _compact_system(aut, state, lasso, False)
-        flipped = ["nu" if eq.sign == "mu" else "mu" for eq in rh.hes.equations]
-        sol = hes_module.solve(rh.hes.with_signs(flipped))
-        return rh.member(sol.assignment, state, k)
+        system = _compact_system(aut, state, lasso, False)
+        system.signs = ["nu" if sign == "mu" else "mu" for sign in system.signs]
+        return _holds(system, _solve(system)[0], state)
     return parity_trace_membership(aut, state, lasso).value
 
 

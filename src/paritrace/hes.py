@@ -12,6 +12,12 @@ equation, in order) to an element of the equation's lattice; nothing here is
 symbolic except the small standalone text format at the bottom.  During a
 solve the assignment is the solver's own working list, valid only for the
 duration of the call: a body reads it and must neither keep nor mutate it.
+
+There is one solver core, ``_Solver``, over plain per-level lists (bodies,
+mu/nu flags, starts, heights, orders), with the fixpoint re-check.
+``solve`` is the adapter that reads those lists off a ``HierEqSystem``;
+membership in ``paritrace.trace`` sets them up from its bare restricted
+system with ``_map_solver`` and builds no equation or lattice object.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .lattice import (
     IterationBudgetError,
     MonotonicityError,
     PowersetLattice,
+    _masks_leq,
     default_iteration_budget,
 )
 
@@ -74,17 +81,6 @@ class HierEqSystem:
     def __len__(self) -> int:
         return len(self.equations)
 
-    def with_signs(self, signs: Sequence[str]) -> "HierEqSystem":
-        """Copy of the system with replaced signs (used by mutation testing)."""
-        if len(signs) != len(self.equations):
-            raise ValueError("sign list length mismatch")
-        return HierEqSystem(
-            [
-                Equation(eq.var, eq.lattice, s, eq.body)
-                for eq, s in zip(self.equations, signs)
-            ]
-        )
-
 
 class Solution:
     """Solved assignment plus per-equation iteration statistics.
@@ -113,21 +109,31 @@ class Solution:
 
 
 class _Solver:
-    """The nested intermediate-solution scheme as one flat loop.
+    """The nested intermediate-solution scheme as one flat loop: the one
+    nested-solve loop of the package.
 
-    Level ``k`` iterates equation ``k`` from bottom (mu) or top (nu) while
-    the levels above hold their current iterates, so every body is
-    evaluated on ``vals``: the current iterate of each level followed by
-    the fixed outer arguments, one list updated in place and handed to the
-    bodies as it is, so an evaluation copies nothing.  A strict step at
-    level ``k`` restarts levels ``k-1 .. 0``, innermost last, and
-    evaluation resumes at level 0; a stable level adds its steps to the
-    counters and evaluation moves up.  This is the schedule of the textbook
-    recursion, in which each iterate of level ``k`` calls level ``k-1`` and
-    then evaluates its own body: a restart is that call and moving up is its
-    return.  So the solution and the counters are the recursion's, but no
-    call stack grows with the number of equations, which is bounded only by
-    the evaluation budget.
+    The solver works on plain per-level lists: ``bodies``, ``ascending``
+    (mu levels iterate up from their start, nu levels down), ``starts``
+    (bottom for mu, top for nu), ``heights`` (the longest strict chain of
+    the level's lattice) and ``leqs`` (the level's order); ``names`` name
+    the levels in error messages, ``u1``, ``u2``, ... when it is None.
+    ``_system_solver`` reads these lists off a ``HierEqSystem``, and
+    ``_map_solver`` sets them up for a restricted system, whose levels are
+    tuples of position masks, without any lattice object.
+
+    Level ``k`` iterates equation ``k`` from its start while the levels
+    above hold their current iterates, so every body is evaluated on
+    ``vals``: the current iterate of each level followed by the fixed outer
+    arguments, one list updated in place and handed to the bodies as it
+    is, so an evaluation copies nothing.  A strict step at level ``k``
+    restarts levels ``k-1 .. 0``, innermost last, and evaluation resumes at
+    level 0; a stable level adds its steps to the counters and evaluation
+    moves up.  This is the schedule of the textbook recursion, in which
+    each iterate of level ``k`` calls level ``k-1`` and then evaluates its
+    own body: a restart is that call and moving up is its return.  So the
+    solution and the counters are the recursion's, but no call stack grows
+    with the number of equations, which is bounded only by the evaluation
+    budget.
 
     A restarted level starts from its last solution when its outer
     arguments moved the way that keeps that start sound (monotone fixpoints
@@ -141,28 +147,33 @@ class _Solver:
     arguments; a body may still keep the last image of an input it reads
     (``trace._phi_body`` does for a tree's keyed terms), as most of the
     assignment is the same object from one evaluation to the next.  The
-    set-up reads each equation's lattice, height, sign and start in one pass,
-    and the body-evaluation budget from ``default_iteration_budget``.
+    body-evaluation budget comes from ``default_iteration_budget``.
     """
 
-    def __init__(self, hes: HierEqSystem, warm_start: bool = True):
-        self.equations = hes.equations
-        self.lattices, self.heights, self.ascending, self.starts = [], [], [], []
-        for eq in hes.equations:
-            lat, asc = eq.lattice, eq.sign == MU
-            self.lattices.append(lat)
-            self.heights.append(lat.height())
-            self.ascending.append(asc)
-            self.starts.append(lat.bottom if asc else lat.top)
-        self.budget = default_iteration_budget()
+    __slots__ = (
+        "bodies", "ascending", "starts", "heights", "leqs", "names",
+        "warm_start", "budget", "steps", "body_evals",
+    )
+
+    def __init__(self, bodies, ascending, starts, heights, leqs, names=None, warm_start=True):
+        self.bodies = bodies
+        self.ascending = ascending
+        self.starts = starts
+        self.heights = heights
+        self.leqs = leqs
+        self.names = names
         self.warm_start = warm_start
-        self.steps = [0] * len(hes)
+        self.budget = default_iteration_budget()
+        self.steps = [0] * len(bodies)
         self.body_evals = 0
+
+    def _name(self, k: int) -> str:
+        return self.names[k] if self.names else f"u{k + 1}"
 
     def prefix(self, top: int, args: tuple) -> tuple:
         """Intermediate values of levels ``0 .. top-1`` given the values
         ``args`` of the levels above."""
-        equations, lattices, heights = self.equations, self.lattices, self.heights
+        bodies, leqs, heights = self.bodies, self.leqs, self.heights
         ascending, starts, steps = self.ascending, self.starts, self.steps
         warm_start, budget, evals = self.warm_start, self.budget, self.body_evals
         vals = starts[:top] + list(args)
@@ -177,15 +188,14 @@ class _Solver:
                         if j + 1 < restart:
                             p, v = warm[j + 1], vals[j + 1]
                             if p is not v:
-                                lat = lattices[j + 1]
-                                up = up and lat.leq(p, v)
-                                down = down and lat.leq(v, p)
+                                leq = leqs[j + 1]
+                                up = up and leq(p, v)
+                                down = down and leq(v, p)
                         warm_ok = warm_start and (up if ascending[j] else down)
                         vals[j] = warm[j] if warm_ok else starts[j]
                         run[j] = 0
-                eq = equations[k]
                 u = vals[k]
-                new = eq.body(vals)
+                new = bodies[k](vals)
                 evals += 1
                 if evals > budget:
                     raise IterationBudgetError(f"solve exceeded body-evaluation budget {budget}")
@@ -198,24 +208,65 @@ class _Solver:
                     continue
                 # new != u, so by antisymmetry at most one direction holds:
                 # check only the level's own, up for mu and down for nu
-                lat = lattices[k]
                 up = ascending[k]
                 down = not up
-                if not (lat.leq(u, new) if up else lat.leq(new, u)):
+                if not (leqs[k](u, new) if up else leqs[k](new, u)):
                     raise MonotonicityError(
-                        f"equation {eq.var!r}: {eq.sign}-iteration moved against "
-                        f"the chain (non-monotone body)"
+                        f"equation {self._name(k)!r}: {MU if up else NU}-iteration moved "
+                        f"against the chain (non-monotone body)"
                     )
                 vals[k] = new
                 run[k] += 1
                 if run[k] > heights[k]:
                     # impossible for a strict chain in a finite lattice
                     raise IterationBudgetError(
-                        f"equation {eq.var!r}: chain longer than lattice height"
+                        f"equation {self._name(k)!r}: chain longer than lattice height"
                     )
                 restart, k = k, 0
         finally:
             self.body_evals = evals
+
+    def solve(self, check: bool = True) -> tuple:
+        """The solution of every level.  With ``check`` it is substituted
+        back into every body and must reproduce itself; a failure means a
+        body broke monotonicity in a way the chain checks did not catch."""
+        assignment = self.prefix(len(self.bodies), ())
+        if check:
+            for k, body in enumerate(self.bodies):
+                if body(assignment) != assignment[k]:
+                    raise MonotonicityError(
+                        f"solution fails the fixpoint check at equation {self._name(k)!r}"
+                    )
+        return assignment
+
+
+def _system_solver(hes: HierEqSystem, warm_start: bool = True) -> _Solver:
+    """The solver core over the equations of ``hes``, read off in one pass."""
+    bodies, ascending, starts, heights, leqs = [], [], [], [], []
+    for eq in hes.equations:
+        lat, asc = eq.lattice, eq.sign == MU
+        bodies.append(eq.body)
+        ascending.append(asc)
+        starts.append(lat.bottom if asc else lat.top)
+        heights.append(lat.height())
+        leqs.append(lat.leq)
+    names = [eq.var for eq in hes.equations]
+    return _Solver(bodies, ascending, starts, heights, leqs, names, warm_start)
+
+
+def _map_solver(bodies, signs, widths, n: int) -> _Solver:
+    """The solver core over a restricted system with no lattice objects:
+    level ``k`` ranges over the maps from ``widths[k]`` states to sets of
+    ``n`` positions, as tuples of bitmasks ordered pointwise, which is
+    ``FunctionLattice(block, PowersetLattice(range(n)))``."""
+    full = (1 << n) - 1
+    ascending, starts, heights = [], [], []
+    for sign, w in zip(signs, widths):
+        asc = sign == MU
+        ascending.append(asc)
+        starts.append((0 if asc else full,) * w)
+        heights.append(n * w)
+    return _Solver(bodies, ascending, starts, heights, [_masks_leq] * len(widths))
 
 
 def solve(hes: HierEqSystem, *, check: bool = True, warm_start: bool = True) -> Solution:
@@ -228,19 +279,13 @@ def solve(hes: HierEqSystem, *, check: bool = True, warm_start: bool = True) -> 
     run then iterates from bottom/top); the tests use it to pin the
     optimization against the plain schedule.
     """
-    solver = _Solver(hes, warm_start=warm_start)
-    assignment = solver.prefix(len(hes), ())
-    if check:
-        for i, eq in enumerate(hes.equations):
-            if eq.body(assignment) != assignment[i]:
-                raise MonotonicityError(
-                    f"solution fails the fixpoint check at equation {eq.var!r}"
-                )
+    solver = _system_solver(hes, warm_start)
+    assignment = solver.solve(check)
     return Solution(
         assignment=assignment,
         iterations=tuple(solver.steps),
         body_evals=solver.body_evals,
-        variables=tuple([eq.var for eq in hes.equations]),
+        variables=tuple(solver.names),
     )
 
 

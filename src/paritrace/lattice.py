@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Any
 
 
@@ -17,11 +18,18 @@ def default_iteration_budget() -> int:
     """Global cap on fixpoint iterations, overridable via environment.
 
     ``PARITRACE_ITER_BUDGET`` must be a positive integer when set; any other
-    value raises IterationBudgetError.
+    value raises IterationBudgetError.  The variable is read on every call,
+    so a changed value takes effect at the next solve; only its parse is
+    cached, keyed on the raw string.
     """
     raw = os.environ.get("PARITRACE_ITER_BUDGET")
-    if not raw:
-        return 1_000_000
+    return _parse_budget(raw) if raw else 1_000_000
+
+
+@lru_cache(maxsize=1)
+def _parse_budget(raw: str) -> int:
+    """The budget that a set ``PARITRACE_ITER_BUDGET`` names.  A bad value
+    raises, and a raised call is not cached, so it raises at every call."""
     try:
         budget = int(raw)
     except ValueError:
@@ -56,6 +64,16 @@ class MonotonicityError(LatticeError):
     Kleene chains from bottom (resp. top) must be ascending (descending)
     when the body is monotone, so a reversal is a proof of non-monotonicity.
     """
+
+
+def _masks_leq(a: tuple, b: tuple) -> bool:
+    """The pointwise order of two equally long tuples of bitmasks: the
+    order of ``FunctionLattice`` and of every level of a restricted system
+    in the nested solver."""
+    for x, y in zip(a, b):
+        if x & ~y:
+            return False
+    return True
 
 
 class FiniteLattice(ABC):
@@ -190,11 +208,7 @@ class FunctionLattice(FiniteLattice):
     def meet(self, a: tuple, b: tuple) -> tuple:
         return tuple([x & y for x, y in zip(a, b)])
 
-    def leq(self, a: tuple, b: tuple) -> bool:
-        for x, y in zip(a, b):
-            if x & ~y:
-                return False
-        return True
+    leq = staticmethod(_masks_leq)
 
     def size(self) -> int:
         return self.codomain.size() ** len(self.domain)

@@ -24,13 +24,16 @@ states of the root's cone only: the cone of (x, root) is the set of
 (state, position) pairs that it reaches over enabled transitions
 (``_cone_states``), the other states are left out, then empty classes are
 dropped and adjacent classes of one sign share an equation
-(``_compact_blocks``, built by ``_compact_system``);
-``build_restricted_hes`` keeps the literal system.
+(``_compact_blocks``, built by ``_compact_system``).  That system is solved
+straight from its bodies by the solver core of ``paritrace.hes``, with no
+lattice, equation or system object; ``build_restricted_hes`` keeps the
+literal system, wrapped as lattices and equations (``RestrictedHes``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -139,35 +142,72 @@ class MembershipVerdict(namedtuple("MembershipVerdict", "value stats")):
         return {"schema_version": 1, "verdict": self.value, "stats": self.stats.to_json()}
 
 
+class _System:
+    """A restricted system as the nested solver reads it.
+
+    Equation k ranges over the states of ``blocks[k]``, has the sign
+    ``signs[k]`` and the body ``bodies[k]``, whose values are tuples of
+    bitmasks over the ``n`` positions of the generator, one per state of
+    the block; ``root`` is the generator's start position, and
+    ``slot_of[y]`` is ``(k, i)`` for the i-th state of block k.
+    """
+
+    __slots__ = ("blocks", "signs", "bodies", "n", "root", "slot_of")
+
+    def __init__(self, blocks, signs, bodies, n, root, slot_of):
+        self.blocks = blocks
+        self.signs = signs
+        self.bodies = bodies
+        self.n = n
+        self.root = root
+        self.slot_of = slot_of
+
+
 class RestrictedHes:
-    """An equation system restricted to one (automaton, input) pair.
+    """An equation system restricted to one (automaton, input) pair, as
+    lattices and equations: a wrapper over the bare ``_System`` that
+    ``_system_from_moves`` builds, whose lattices and equations are built
+    on first access.
 
     Equation i-1 (0-based) belongs to block i of the system's partition and
     lives in the lattice (states of that block) -> P(positions).  In the
     paper's literal system (``build_restricted_hes``) block i is priority
     class i, and an empty class keeps its equation over a one-point lattice
     so the indexing of the defining system stays intact.  The membership
-    functions solve the compacted system instead: its blocks hold only the
-    states of the cone of (x, root), the states that the input can drive a
-    run from x into, one block per maximal run of their priorities of equal
-    parity (one block in decorated mode), and a transition to a state
-    outside the cone is left out.  ``positions`` is every position of the
-    generator either way.  The finite-trace system is one mu-equation over
-    all states.
+    functions solve the bare compacted system instead, with no wrapper:
+    its blocks hold only the states of the cone of (x, root), the states
+    that the input can drive a run from x into, one block per maximal run
+    of their priorities of equal parity (one block in decorated mode), and
+    a transition to a state outside the cone is left out.  ``positions`` is
+    every position of the generator either way.  The finite-trace system
+    is one mu-equation over all states.
     """
 
-    def __init__(self, hes, carriers, positions, start):
-        self.hes: HierEqSystem = hes
-        self.carriers: tuple[FunctionLattice, ...] = tuple(carriers)
-        self.positions = tuple(positions)
-        self.start = start
+    def __init__(self, system: _System):
+        self.system = system
+
+    @cached_property
+    def carriers(self) -> tuple:
+        pos_lat = PowersetLattice(range(self.system.n))
+        return tuple([FunctionLattice(block, pos_lat) for block in self.system.blocks])
+
+    @cached_property
+    def hes(self) -> HierEqSystem:
+        parts = zip(self.carriers, self.system.signs, self.system.bodies)
+        return HierEqSystem(
+            [Equation(f"u{k + 1}", lat, sign, body) for k, (lat, sign, body) in enumerate(parts)]
+        )
+
+    @property
+    def positions(self) -> tuple:
+        return tuple(range(self.system.n))
 
     def member(self, assignment: tuple, state: str, priority: int) -> bool:
         """Does the input belong to the solved variable of ``state``?
         ``priority`` is the 1-based index of ``state``'s equation, which in
         the literal system is its priority."""
         mask = self.carriers[priority - 1].get(assignment[priority - 1], state)
-        return bool((mask >> self.start) & 1)
+        return bool((mask >> self.system.root) & 1)
 
     def solve(self, **kwargs) -> hes_mod.Solution:
         return hes_mod.solve(self.hes, **kwargs)
@@ -240,7 +280,7 @@ def _flat_shift(pred) -> tuple | None:
     return r, mr, l, ml
 
 
-def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
+def _phi_body(rows, slot_of, preds, flat0) -> Callable[[tuple], tuple]:
     """One equation body of the compose-map-recompose shape.
 
     ``rows[x]`` belongs to the x-th domain item of the equation's carrier
@@ -249,8 +289,10 @@ def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
     transition to that tuple, and ``slot_of`` maps successor ``i`` to the
     variable ``(equation_index, domain_index)`` that must hold at child
     slot ``i``; a pair with a successor it lacks is left out.  ``preds``
-    are the generator's predecessor maps (see ``predecessor_maps``).  The
-    body computes every position at once:
+    are the generator's predecessor maps (see ``predecessor_maps``), and
+    ``flat0`` is ``_flat_shift(preds[0])``, or None when there is no child
+    slot, computed once per system.  The body computes every position at
+    once:
 
         out[x] = OR over (successors, mask) of mask & AND_i pre_i(S[slot_i])
 
@@ -274,7 +316,6 @@ def _phi_body(rows, slot_of, preds) -> Callable[[tuple], tuple]:
     with another argument's image; an equal value in a distinct object is
     only recomputed.
     """
-    flat0 = _flat_shift(preds[0]) if preds else None
     r, mr, l, ml = flat0 or (0, 0, 0, 0)
     keys: dict[tuple[int, int, int], int] = {}
     terms = []
@@ -354,25 +395,39 @@ def _moves(transitions, labels) -> dict:
     return moves
 
 
-def _system_from_moves(moves, n, preds, root, partition, signs) -> RestrictedHes:
-    """The restricted system over ``n`` positions whose equation k ranges
-    over the states of ``partition[k]``, with the grouped ``moves`` of
-    ``_moves``.  A move to a state outside the partition is left out.
-    ``preds`` are the generator's predecessor maps, in the form of
-    ``predecessor_maps``, and ``root`` its start position.  Each state's
-    moves go straight into its row of body terms (``_phi_body``), in the
-    loop that looks up their successors' slots."""
-    pos_lat = PowersetLattice(range(n))
+def _system_from_moves(moves, n, preds, root, partition, signs) -> _System:
+    """The one restricted-system builder: the bare system over ``n``
+    positions whose equation k ranges over the states of ``partition[k]``,
+    with sign ``signs[k]`` and the grouped ``moves`` of ``_moves``.  A move
+    to a state outside the partition is left out.  ``preds`` are the
+    generator's predecessor maps, in the form of ``predecessor_maps``, and
+    ``root`` its start position.  Each state's moves go straight into its
+    row of body terms (``_phi_body``), in the loop that looks up their
+    successors' slots; slot 0's flat shift is worked out once.  No lattice
+    or equation object is built: ``RestrictedHes`` wraps the result where
+    one is needed."""
     slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
-    equations = []
-    carriers = []
-    for k, block in enumerate(partition):
-        carrier = FunctionLattice(block, pos_lat)
-        carriers.append(carrier)
-        rows = [moves[x].items() if x in moves else () for x in block]
-        body = _phi_body(rows, slot_of, preds)
-        equations.append(Equation(f"u{k + 1}", carrier, signs[k], body))
-    return RestrictedHes(HierEqSystem(equations), carriers, pos_lat.ground, root)
+    flat0 = _flat_shift(preds[0]) if preds else None
+    bodies = [
+        _phi_body([moves[x].items() if x in moves else () for x in block], slot_of, preds, flat0)
+        for block in partition
+    ]
+    return _System(partition, signs, bodies, n, root, slot_of)
+
+
+def _solve(system: _System) -> tuple:
+    """Solve a bare system with the nested solver core, fixpoint re-check
+    included: its assignment and the ``SolveStats`` of the solve."""
+    widths = tuple([len(block) for block in system.blocks])
+    solver = hes_mod._map_solver(system.bodies, system.signs, widths, system.n)
+    assignment = solver.solve()
+    return assignment, SolveStats(tuple(solver.steps), solver.body_evals, system.n, widths)
+
+
+def _holds(system: _System, assignment: tuple, x: str) -> bool:
+    """Does the root lie in the solved variable of state ``x``?"""
+    k, yi = system.slot_of[x]
+    return bool((assignment[k][yi] >> system.root) & 1)
 
 
 def _cone_states(moves, preds, labels, states, x, root) -> list:
@@ -466,8 +521,7 @@ def _compact_blocks(aut, decorated: bool, states):
     all states.  An empty class is an equation over a one-point lattice,
     and by Bekić's lemma adjacent equations of one sign have the same
     solution as the single equation over their product, so no verdict
-    changes.  Returns the partition, its signs, and each state's 1-based
-    equation index.
+    changes.  Returns the partition and its signs.
     """
     prio = aut.priorities
     blocks: list[list] = []
@@ -478,9 +532,7 @@ def _compact_blocks(aut, decorated: bool, states):
             blocks.append([])
             signs.append(sign)
         blocks[-1].append(y)
-    partition = [tuple(block) for block in blocks]
-    block_of = {x: k + 1 for k, block in enumerate(partition) for x in block}
-    return partition, signs, block_of
+    return [tuple(block) for block in blocks], signs
 
 
 def _lasso_generator(aut, w, symbol_of=None):
@@ -573,31 +625,29 @@ def build_restricted_hes(aut, input_obj, mode: str = "ordinary") -> RestrictedHe
     transitions, labels, preds, root = _generator(aut, input_obj, decorated)
     partition, signs = _parity_blocks(aut, decorated)
     moves = _moves(transitions, labels)
-    return _system_from_moves(moves, len(labels), preds, root, partition, signs)
+    return RestrictedHes(_system_from_moves(moves, len(labels), preds, root, partition, signs))
 
 
-def _compact_system(aut, x: str, input_obj, decorated: bool) -> tuple:
-    """The compacted system of ``aut`` over the states of the cone of
-    ``(x, root)``, restricted to ``input_obj``, and the 1-based index of
-    ``x``'s equation in it.
+def _compact_system(aut, x: str, input_obj, decorated: bool) -> _System:
+    """The bare compacted system of ``aut`` over the states of the cone of
+    ``(x, root)``, restricted to ``input_obj``.
 
     The cone is closed under the dependencies of its pairs, so leaving out
     the other states, and every move to them, changes no value on it."""
     transitions, labels, preds, root = _generator(aut, input_obj, decorated)
     moves = _moves(transitions, labels)
     cone = _cone_states(moves, preds, labels, aut.states, x, root)
-    partition, signs, block_of = _compact_blocks(aut, decorated, cone)
-    return _system_from_moves(moves, len(labels), preds, root, partition, signs), block_of[x]
+    partition, signs = _compact_blocks(aut, decorated, cone)
+    return _system_from_moves(moves, len(labels), preds, root, partition, signs)
 
 
 def _compact_verdict(aut, x: str, input_obj, decorated: bool) -> MembershipVerdict:
-    """Solve the compacted system of ``_compact_system`` and ask whether
-    the input lies in ``x``'s variable."""
-    rh, k = _compact_system(aut, x, input_obj, decorated)
-    sol = rh.solve()
-    widths = tuple([len(carrier.domain) for carrier in rh.carriers])
-    stats = SolveStats(sol.iterations, sol.body_evals, len(rh.positions), widths)
-    return MembershipVerdict(rh.member(sol.assignment, x, k), stats)
+    """Solve the bare compacted system of ``_compact_system`` straight from
+    its bodies (``_solve``, no lattice, equation or system object) and read
+    ``x``'s bit at the root."""
+    system = _compact_system(aut, x, input_obj, decorated)
+    assignment, stats = _solve(system)
+    return MembershipVerdict(_holds(system, assignment, x), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +709,8 @@ MAX_ENUM_WORDS = 4096
 _TICK = ("✓",)
 
 
-def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> RestrictedHes:
-    """The finite-trace equation restricted to a generator whose end
+def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> _System:
+    """The bare finite-trace equation restricted to a generator whose end
     positions carry ``✓``: one mu-equation over all states, where every
     final state has a nullary ``✓`` transition."""
     transitions = _word_transitions(aut) + [(y, _TICK, ()) for y in aut.final]
@@ -670,7 +720,12 @@ def _finite_trace_system(aut: ParityWordAutomaton, labels, children) -> Restrict
 
 
 def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozenset:
-    """All termination-flagged words of length <= maxlen accepted from x.
+    """All termination-flagged words of length <= maxlen accepted from x."""
+    return _finite_traces(aut, x, maxlen)[0]
+
+
+def _finite_traces(aut: ParityWordAutomaton, x: str, maxlen: int) -> tuple:
+    """``finite_trace_enum``'s words, and the ``SolveStats`` of its solve.
 
     One solve of the finite-trace equation on the generator of all words of
     length <= maxlen, in level order: the empty word first, carrying the end
@@ -694,8 +749,10 @@ def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozense
             labels.extend([a] * level_len)
             children.extend((level_start + i,) for i in range(level_len))
         level_start, level_len = start, len(labels) - start
-    rh = _finite_trace_system(aut, labels, children)
-    mask = rh.carriers[0].get(rh.solve().assignment[0], x)
+    system = _finite_trace_system(aut, labels, children)
+    assignment, stats = _solve(system)
+    k, yi = system.slot_of[x]
+    mask = assignment[k][yi]
 
     def word(p: int) -> tuple[str, ...]:
         letters = []
@@ -704,7 +761,7 @@ def finite_trace_enum(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozense
             (p,) = children[p]
         return tuple(letters)
 
-    return frozenset(word(p) for p in range(len(labels)) if (mask >> p) & 1)
+    return frozenset(word(p) for p in range(len(labels)) if (mask >> p) & 1), stats
 
 
 def det_exception_behavior(aut: DeterministicExceptionAutomaton, x: str):

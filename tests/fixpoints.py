@@ -11,7 +11,7 @@ import itertools
 import random
 from typing import Any, Callable, Iterator, Sequence
 
-from paritrace.hes import HierEqSystem, _Solver
+from paritrace.hes import HierEqSystem, _system_solver
 from paritrace.lattice import (
     MU,
     NU,
@@ -237,4 +237,4 @@ def intermediate(hes: HierEqSystem, i: int, j: int, outer_args: Sequence[Any] = 
     outer_args = tuple(outer_args)
     if len(outer_args) != m - i:
         raise ValueError(f"expected {m - i} outer arguments, got {len(outer_args)}")
-    return _Solver(hes).prefix(i, outer_args)[j - 1]
+    return _system_solver(hes).prefix(i, outer_args)[j - 1]

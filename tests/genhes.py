@@ -1,4 +1,5 @@
-"""Random monotone equation systems in the standalone text format.
+"""Random monotone equation systems in the standalone text format, and
+sign swaps of a system.
 
 Bodies are union/intersection expressions over variables and ground-set
 literals, hence monotone by construction; generating through the text
@@ -7,7 +8,16 @@ format exercises the parser on every trial.
 
 import random
 
-from paritrace.hes import parse_hes_text
+from paritrace.hes import Equation, HierEqSystem, parse_hes_text
+
+
+def with_signs(hes: HierEqSystem, signs) -> HierEqSystem:
+    """Copy of the system with replaced signs."""
+    if len(signs) != len(hes.equations):
+        raise ValueError("sign list length mismatch")
+    return HierEqSystem(
+        [Equation(eq.var, eq.lattice, s, eq.body) for eq, s in zip(hes.equations, signs)]
+    )
 
 
 def random_hes_text(rng: random.Random, max_equations=3, max_ground=4) -> str:

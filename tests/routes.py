@@ -16,8 +16,11 @@ from paritrace.trace import (
     AlphabetMismatchError,
     _compact_verdict,
     _finite_trace_system,
+    _flat_shift,
+    _holds,
     _phi_body,
     _require_state,
+    _solve,
 )
 
 
@@ -46,7 +49,7 @@ def make_phi_body(
                 if i >= len(preds):
                     raise ValueError(f"slot {(k, yi)}: no position has a child slot {i}")
                 slot_of[k, yi] = (k, yi)
-    return _phi_body(groups, slot_of, preds)
+    return _phi_body(groups, slot_of, preds, _flat_shift(preds[0]) if preds else None)
 
 
 def finite_trace_membership(aut, x: str, word) -> bool:
@@ -60,8 +63,8 @@ def finite_trace_membership(aut, x: str, word) -> bool:
     if missing:
         raise AlphabetMismatchError(f"letters not in automaton alphabet: {sorted(missing)}")
     children = tuple((p + 1,) for p in range(len(word))) + ((),)
-    rh = _finite_trace_system(aut, word + (_TICK,), children)
-    return rh.member(rh.solve().assignment, x, 1)
+    system = _finite_trace_system(aut, word + (_TICK,), children)
+    return _holds(system, _solve(system)[0], x)
 
 
 def infinitary_trace_membership(aut, x: str, w: LassoWord) -> bool:

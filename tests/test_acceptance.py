@@ -10,7 +10,7 @@ import time
 
 import pytest
 from brute import brute_solve
-from genhes import random_hes
+from genhes import random_hes, with_signs
 from inputs import all_lassos
 
 from paritrace.automata import (
@@ -153,7 +153,7 @@ def test_criterion_3_solver_matches_brute_force():
         ]
     )
     assert solve(forward).assignment == (1, 1)
-    assert solve(forward.with_signs([NU, MU])).assignment == (0, 0)
+    assert solve(with_signs(forward, [NU, MU])).assignment == (0, 0)
     elapsed = time.time() - t0
     assert elapsed < 30.0
     announce(3, "solver vs brute force", elapsed, 30.0, " on 200 systems")

@@ -180,7 +180,9 @@ def check_against_cells(kind, rng, blocks=trace._parity_blocks):
         )
         transitions, labels, preds, root, partition, signs = args
         moves = trace._moves(transitions, labels)
-        rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+        rh = trace.RestrictedHes(
+            trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+        )
         reference = cell_bodies(
             ref_transitions, ref_labels, children, partition, prios, priority
         )
@@ -244,7 +246,9 @@ def _check_edge_input(aut, inp, decorated, rng, flat):
     assert (trace._flat_shift(preds[0]) is not None) == flat
     partition, signs = trace._parity_blocks(aut, decorated)
     moves = trace._moves(transitions, labels)
-    rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+    rh = trace.RestrictedHes(
+        trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+    )
     if isinstance(inp, RegularTreeRep):
         index = {n: i for i, n in enumerate(inp.node_ids())}
         children = tuple(tuple(index[c] for c in inp.children(n)) for n in inp.node_ids())
@@ -365,7 +369,9 @@ def test_shared_mask_finite_word_body_equals_cell_body():
         moves = trace._moves(transitions, labels)
         grouped += bool(_shared_masks(moves))
         preds = trace.predecessor_maps(children)
-        rh = trace._system_from_moves(moves, len(labels), preds, 0, [aut.states], [MU])
+        rh = trace.RestrictedHes(
+            trace._system_from_moves(moves, len(labels), preds, 0, [aut.states], [MU])
+        )
         (ref,) = cell_bodies(transitions, labels, children, [aut.states])
         for _ in range(8):
             assign = (tuple([random_value(len(labels), rng) for _ in aut.states]),)
@@ -453,7 +459,9 @@ def test_make_phi_body_equals_fused_build():
             args = generator_args(kind, seed, rng)[0]
             transitions, labels, preds, root, partition, signs = args
             moves = trace._moves(transitions, labels)
-            rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+            rh = trace.RestrictedHes(
+                trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+            )
             slot_of = {y: (k, yi) for k, block in enumerate(partition) for yi, y in enumerate(block)}
             widths = [len(block) for block in partition]
             for eq, block in zip(rh.hes.equations, partition):
@@ -507,7 +515,9 @@ def test_memoised_body_equals_cell_body_on_repeats(kind):
         )
         transitions, labels, preds, root, partition, signs = args
         moves = trace._moves(transitions, labels)
-        rh = trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+        rh = trace.RestrictedHes(
+            trace._system_from_moves(moves, len(labels), preds, root, partition, signs)
+        )
         reference = cell_bodies(
             ref_transitions, ref_labels, children, partition, prios, priority
         )

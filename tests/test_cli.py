@@ -127,6 +127,19 @@ class TestStats:
         stats = json.loads(out)["stats"]
         assert code == 0 and (stats["positions"], stats["widths"]) == (1, [1])
 
+    def test_finite_traces_stats(self, capsys):
+        argv = ["finite-traces", str(SAMPLES / "flagged.aut"), "--state", "x", "--max-len", "3"]
+        code, out, _ = run(capsys, argv + ["--json"])
+        # the 15 words of length <= 3 over {a, b} are the positions, and the
+        # one mu-equation ranges over x and y; Kleene iteration from the empty
+        # sets adds the words ending in y's b-loop one length per step, so 4
+        # strict steps and a fifth, stable evaluation
+        assert code == 0 and json.loads(out) == {
+            "schema_version": 1,
+            "stats": {"body_evals": 5, "iterations": [4], "positions": 15, "widths": [2]},
+            "words": ["b", "ab", "bb", "aab", "abb", "bbb"],
+        }
+
 
 def call_main(argv):
     """``main(argv)`` with its exit code, stdout and stderr."""

@@ -13,7 +13,7 @@ from fixpoints import (
     kleene_gfp,
     kleene_lfp,
 )
-from genhes import random_hes
+from genhes import random_hes, with_signs
 from routes import make_phi_body
 
 from paritrace.hes import (
@@ -28,8 +28,10 @@ from paritrace.lattice import (
     MU,
     NU,
     FunctionLattice,
+    IterationBudgetError,
     MonotonicityError,
     PowersetLattice,
+    default_iteration_budget,
 )
 from paritrace.trace import predecessor_maps
 
@@ -39,6 +41,41 @@ P1 = PowersetLattice(("p",))
 
 def single(sign, body=lambda a: a[0], lat=P2):
     return HierEqSystem([Equation("u1", lat, sign, body)])
+
+
+class TestIterationBudget:
+    """``PARITRACE_ITER_BUDGET`` is read at every solve; its parse is kept
+    per raw value, so a value changed between solves takes effect."""
+
+    #: u1 =mu {0} | {1 if 0 in u1}: three evaluations, two strict steps
+    GROWING = staticmethod(lambda a: 0b01 | (0b10 if a[0] & 1 else 0))
+
+    def test_budgets_set_in_turn_are_each_applied(self, monkeypatch):
+        system = single(MU, self.GROWING)
+        monkeypatch.delenv("PARITRACE_ITER_BUDGET", raising=False)
+        assert default_iteration_budget() == 1_000_000
+        assert solve(system).body_evals == 3
+        for raw, ok in (("1", False), ("100000", True), ("1", False), ("3", True), ("2", False)):
+            monkeypatch.setenv("PARITRACE_ITER_BUDGET", raw)
+            assert default_iteration_budget() == int(raw)
+            if ok:
+                assert solve(system).assignment == (0b11,)
+            else:
+                with pytest.raises(IterationBudgetError, match=f"budget {raw}$"):
+                    solve(system)
+        monkeypatch.delenv("PARITRACE_ITER_BUDGET")
+        assert default_iteration_budget() == 1_000_000
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_values_raise_on_every_call(self, monkeypatch, raw):
+        monkeypatch.setenv("PARITRACE_ITER_BUDGET", "5")
+        assert default_iteration_budget() == 5
+        monkeypatch.setenv("PARITRACE_ITER_BUDGET", raw)
+        for _ in range(2):
+            with pytest.raises(IterationBudgetError, match="positive integer"):
+                default_iteration_budget()
+            with pytest.raises(IterationBudgetError, match="positive integer"):
+                solve(single(MU))
 
 
 class TestSolveBasics:
@@ -62,7 +99,7 @@ class TestSolveBasics:
             ]
         )
         assert solve(forward).assignment == (1, 1)
-        swapped = forward.with_signs([NU, MU])
+        swapped = with_signs(forward, [NU, MU])
         assert solve(swapped).assignment == (0, 0)
 
     def test_single_equation_equals_direct_kleene(self):
@@ -267,7 +304,7 @@ class TestAgainstBruteForce:
                 hes = random_hes(rng, max_equations=2)
                 if len(hes) != 2:
                     continue
-                hes = hes.with_signs(signs)
+                hes = with_signs(hes, signs)
                 assert solve(hes).assignment == brute_solve(hes)
 
 

@@ -47,9 +47,9 @@ def test_ab_rounds_rejects_a_tree_that_counts_differently(tmp_path, workload):
     shutil.copytree(src / "paritrace", tmp_path / "paritrace")
     trace_py = tmp_path / "paritrace" / "trace.py"
     text = trace_py.read_text(encoding="utf-8")
-    counted = "SolveStats(sol.iterations, sol.body_evals,"
+    counted = "SolveStats(tuple(solver.steps), solver.body_evals,"
     assert text.count(counted) == 1
-    miscounted = text.replace(counted, "SolveStats(sol.iterations, sol.body_evals + 1,")
+    miscounted = text.replace(counted, "SolveStats(tuple(solver.steps), solver.body_evals + 1,")
     trace_py.write_text(miscounted, encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), str(src), str(tmp_path), workload]
@@ -61,6 +61,30 @@ def test_ab_rounds_rejects_a_tree_that_counts_differently(tmp_path, workload):
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert "error: the two trees give different outputs at op 0" in proc.stderr
     assert "body_evals=" in proc.stderr
+
+
+def test_ab_rounds_rejects_a_tree_whose_flattening_report_differs(tmp_path):
+    """The campaign warm-up compares each flattening check's whole report:
+    a copy whose reports drop the ``invariant`` entry of ``checks``, with
+    the same agreement, membership and witness, is refused before any
+    timed round."""
+    src = ROOT / "src"
+    shutil.copytree(src / "paritrace", tmp_path / "paritrace")
+    trace_py = tmp_path / "paritrace" / "trace.py"
+    text = trace_py.read_text(encoding="utf-8")
+    judged = "witness_ok = all(checks.values())"
+    assert text.count(judged) == 1
+    trace_py.write_text(text.replace(judged, judged + '; checks.pop("invariant")'), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), str(src), str(tmp_path), "campaign"]
+        + ["--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert "error: the two trees give different outputs at op " in proc.stderr
+    assert "'invariant': True" in proc.stderr
 
 
 def test_ab_rounds_rejects_a_parser_that_drops_a_transition(tmp_path):

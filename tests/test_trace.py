@@ -24,7 +24,7 @@ from paritrace.automata import (
 )
 from paritrace.harness import appendix_automaton, intro_automaton
 from paritrace.hes import Equation
-from paritrace.lattice import MU, NU, PowersetLattice
+from paritrace.lattice import MU, NU, IterationBudgetError, MonotonicityError, PowersetLattice
 from paritrace.omega_input import (
     DecoratedLassoWord,
     DecoratedRegularTreeRep,
@@ -774,25 +774,21 @@ class TestCompaction:
 
     def test_runs_of_equal_parity_merge(self):
         aut = with_priorities((8, 1, 4, 3, 6))
-        partition, signs, block_of = trace._compact_blocks(aut, False, aut.states)
+        partition, signs = trace._compact_blocks(aut, False, aut.states)
         assert partition == [("s1", "s3"), ("s4", "s6", "s8")]
         assert signs == [MU, NU]
-        assert block_of == {"s1": 1, "s3": 1, "s4": 2, "s6": 2, "s8": 2}
         assert len(build_restricted_hes(aut, parse_lasso(";a")).hes) == 8
 
     @pytest.mark.parametrize("priority, sign", [(2, NU), (3, MU)])
     def test_single_priority_is_one_block(self, priority, sign):
         aut = with_priorities((priority,))
-        assert trace._compact_blocks(aut, False, aut.states) == (
-            [(f"s{priority}",)], [sign], {f"s{priority}": 1}
-        )
+        assert trace._compact_blocks(aut, False, aut.states) == ([(f"s{priority}",)], [sign])
 
     def test_decorated_is_one_nu_block(self):
         aut = with_priorities((8, 1, 4, 3, 6))
-        partition, signs, block_of = trace._compact_blocks(aut, True, aut.states)
+        partition, signs = trace._compact_blocks(aut, True, aut.states)
         assert partition == [("s1", "s3", "s4", "s6", "s8")]
         assert signs == [NU]
-        assert set(block_of.values()) == {1}
 
     def test_sparse_lassos_match_product_graph(self):
         rng = random.Random(707)
@@ -1249,3 +1245,124 @@ class TestValueClasses:
         a, b = hes_mod.solve(system), hes_mod.solve(system)
         assert a == b and a.variables[0] == "u1"
         assert repr(a) == repr(b) and repr(a).startswith("Solution(assignment=")
+
+
+class TestOneSolverCore:
+    """Membership solves its bare compacted system with the solver core of
+    ``hes``, straight from the bodies; the same system wrapped as a
+    ``HierEqSystem`` (``RestrictedHes``) solves the same way through
+    ``hes.solve``, and the compact route keeps the core's checks."""
+
+    @staticmethod
+    def seeded_inputs():
+        """Plain and decorated lassos and trees, with their automata and
+        states; decorations are arbitrary, so most are unrealisable."""
+        rng = random.Random(2403)
+        for _ in range(40):
+            aut = hidden_word_automaton(rng)
+            x = rng.choice(aut.states)
+            w = random_lasso("abc", 2, 4, rng)
+            used = sorted(set(aut.priorities.values()))
+            xi = DecoratedLassoWord(
+                tuple((a, rng.choice(used)) for a in w.stem),
+                tuple((a, rng.choice(used)) for a in w.cycle),
+            )
+            yield aut, x, w, False
+            yield aut, x, xi, True
+            tree_aut, y, t = wide_tree_case(rng)
+            used = sorted(set(tree_aut.priorities.values()))
+            dt = DecoratedRegularTreeRep(
+                {n: ((t.label(n), rng.choice(used)), t.children(n)) for n in t.node_ids()},
+                t.root,
+            )
+            yield tree_aut, y, t, False
+            yield tree_aut, y, dt, True
+
+    def test_compact_route_equals_hes_solve(self):
+        evals = set()
+        for aut, x, inp, decorated in self.seeded_inputs():
+            verdict = trace._compact_verdict(aut, x, inp, decorated)
+            assignment, stats = trace._solve(trace._compact_system(aut, x, inp, decorated))
+            rh = trace.RestrictedHes(trace._compact_system(aut, x, inp, decorated))
+            sol = hes_mod.solve(rh.hes)
+            assert assignment == sol.assignment and stats == verdict.stats
+            assert stats.iterations == sol.iterations and stats.body_evals == sol.body_evals
+            k = rh.system.slot_of[x][0]
+            assert verdict.value == rh.member(sol.assignment, x, k + 1)
+            assert stats.widths == tuple(len(c.domain) for c in rh.carriers)
+            evals.add(stats.body_evals)
+        assert len(evals) > 5
+
+    @staticmethod
+    def three_routes():
+        """A plain, a decorated and a tree membership call, each of whose
+        solves takes more than one body evaluation."""
+        aut = appendix_automaton()
+        w = parse_lasso("a;bab")
+        xi = decorate_run(lasso_acceptance(aut, "x", w).run, aut.priorities)
+        tree_aut = ParityTreeAutomaton(
+            ("x", "y"),
+            RankedAlphabet([("f", 2), ("c", 0)]),
+            [("x", "f", ("y", "x")), ("y", "f", ("y", "y")), ("y", "c", ())],
+            {"x": 1, "y": 2},
+        )
+        t = RegularTreeRep({"n0": ("f", ("n1", "n0")), "n1": ("c", ())}, "n0")
+        return {
+            "plain": lambda: parity_trace_membership(aut, "x", w),
+            "decorated": lambda: decorated_trace_membership(aut, "x", xi),
+            "tree": lambda: tree_language_membership(tree_aut, "x", t),
+        }
+
+    @pytest.mark.parametrize("route", ["plain", "decorated", "tree"])
+    def test_budget_applies_to_the_compact_route(self, monkeypatch, route):
+        call = self.three_routes()[route]
+        assert call().stats.body_evals > 1
+        monkeypatch.setenv("PARITRACE_ITER_BUDGET", "1")
+        with pytest.raises(IterationBudgetError, match="budget 1"):
+            call()
+
+    @pytest.mark.parametrize("route", ["plain", "decorated", "tree"])
+    def test_non_monotone_body_is_caught_on_the_compact_route(self, monkeypatch, route):
+        """A body that answers all positions and then none, in turn, is
+        caught by the chain check or by the fixpoint re-check."""
+        build = trace._phi_body
+
+        def toggling(rows, slot_of, preds, flat0):
+            body = build(rows, slot_of, preds, flat0)
+            calls = []
+
+            def flipped(assign):
+                out = body(assign)
+                calls.append(None)
+                return tuple([-1 if len(calls) % 2 else 0] * len(out)) if out else out
+
+            return flipped
+
+        call = self.three_routes()[route]
+        monkeypatch.setattr(trace, "_phi_body", toggling)
+        with pytest.raises(MonotonicityError):
+            call()
+
+    @pytest.mark.parametrize("route", ["plain", "decorated", "tree"])
+    def test_fixpoint_recheck_runs_on_the_compact_route(self, monkeypatch, route):
+        """Bodies that return their level's own value once, so every level
+        is stable at its start, and its complement after that: only the
+        re-check of the solution evaluates them a second time."""
+        core = hes_mod._map_solver
+
+        def answer_late(k):
+            calls = []
+
+            def body(assign):
+                calls.append(None)
+                return assign[k] if len(calls) == 1 else tuple([~v for v in assign[k]])
+
+            return body
+
+        def late_solver(bodies, signs, widths, n):
+            return core([answer_late(k) for k in range(len(bodies))], signs, widths, n)
+
+        call = self.three_routes()[route]
+        monkeypatch.setattr(hes_mod, "_map_solver", late_solver)
+        with pytest.raises(MonotonicityError, match="fails the fixpoint check at equation 'u1'"):
+            call()

@@ -14,7 +14,9 @@ warm-up round per side, whose outputs must agree between the sides, and
 each timed round starts after a garbage collection.  An engine call's
 output is its whole ``MembershipVerdict``, the value and the ``SolveStats``
 counters, so the warm-up also checks that both trees count the same
-iterations, body evaluations, positions and widths.  Before it, each
+iterations, body evaluations, positions and widths; a ``campaign`` op's
+flattening check is compared as its whole report (``to_json``), witness
+and checks included.  Before it, each
 side serialises every automaton it parsed, and the two texts must be
 equal, so a parser change that alters what is parsed fails even where no
 verdict shows it.
@@ -80,7 +82,7 @@ def make_round(mods: dict, workload: str, spec: dict):
                 engine = trace.parity_trace_membership(aut, x, w)
                 graph = oracle.lasso_acceptance(aut, x, w).value
                 report = trace.flattening_theorem_check(aut, x, w)
-                return engine, graph, report.agree, report.membership
+                return engine, graph, report.to_json()
 
         else:
 
