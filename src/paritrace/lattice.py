@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from functools import lru_cache
 from typing import Any
 
 
@@ -18,18 +17,11 @@ def default_iteration_budget() -> int:
     """Global cap on fixpoint iterations, overridable via environment.
 
     ``PARITRACE_ITER_BUDGET`` must be a positive integer when set; any other
-    value raises IterationBudgetError.  The variable is read on every call,
-    so a changed value takes effect at the next solve; only its parse is
-    cached, keyed on the raw string.
+    value raises IterationBudgetError.
     """
     raw = os.environ.get("PARITRACE_ITER_BUDGET")
-    return _parse_budget(raw) if raw else 1_000_000
-
-
-@lru_cache(maxsize=1)
-def _parse_budget(raw: str) -> int:
-    """The budget that a set ``PARITRACE_ITER_BUDGET`` names.  A bad value
-    raises, and a raised call is not cached, so it raises at every call."""
+    if not raw:
+        return 1_000_000
     try:
         budget = int(raw)
     except ValueError:

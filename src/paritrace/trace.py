@@ -204,10 +204,10 @@ class RestrictedHes:
 
     def member(self, assignment: tuple, state: str, priority: int) -> bool:
         """Does the input belong to the solved variable of ``state``?
-        ``priority`` is the 1-based index of ``state``'s equation, which in
-        the literal system is its priority."""
-        mask = self.carriers[priority - 1].get(assignment[priority - 1], state)
-        return bool((mask >> self.system.root) & 1)
+        ``priority``, the 1-based index of ``state``'s equation (in the
+        literal system its priority), is not needed: the system knows each
+        state's slot."""
+        return _holds(self.system, assignment, state)
 
     def solve(self, **kwargs) -> hes_mod.Solution:
         return hes_mod.solve(self.hes, **kwargs)

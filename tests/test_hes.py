@@ -44,8 +44,8 @@ def single(sign, body=lambda a: a[0], lat=P2):
 
 
 class TestIterationBudget:
-    """``PARITRACE_ITER_BUDGET`` is read at every solve; its parse is kept
-    per raw value, so a value changed between solves takes effect."""
+    """``PARITRACE_ITER_BUDGET`` is read at every solve, so a value changed
+    between solves takes effect."""
 
     #: u1 =mu {0} | {1 if 0 in u1}: three evaluations, two strict steps
     GROWING = staticmethod(lambda a: 0b01 | (0b10 if a[0] & 1 else 0))
