@@ -341,7 +341,7 @@ def _decorated_realizable(aut: ParityWordAutomaton, x: str, xi: DecoratedLassoWo
                 seen.add(v)
                 stack.append(v)
     # an infinite path exists iff some reachable vertex lies on a cycle
-    return cycle_with_max_parity(seen, succ, lambda v: 2, parity=0) is not None
+    return cycle_with_max_parity(seen, succ, dict.fromkeys(seen, 2), parity=0) is not None
 
 
 def _prop_decorated(cfg: CampaignConfig, trial: _WordTrial, seed: int, index: int) -> str | None:

@@ -300,7 +300,8 @@ def check_decorated_invariant(xi, expected_grade: int | None = None) -> list[str
             problems.append(f"odd cycle maximum: {cycle_max}")
     elif isinstance(xi, DecoratedRegularTreeRep):
         succ = {n: kids for n, (_, kids) in xi.nodes.items()}
-        found = cycle_with_max_parity(xi.nodes, succ, xi.priority, parity=1)
+        prio = {n: lab[1] for n, (lab, _) in xi.nodes.items()}
+        found = cycle_with_max_parity(xi.nodes, succ, prio, parity=1)
         if found is not None:
             bad = found[0]
             problems.append(

@@ -51,44 +51,58 @@ class OracleVerdict(namedtuple("OracleVerdict", "value run", defaults=(None,))):
 
 
 class ProductGraph:
-    """Synchronized product of a word automaton and a lasso.
+    """Synchronized product of a word automaton and a lasso, on numbered
+    vertices.
 
-    Vertices are (state, position) pairs; edges follow transitions whose
-    letter matches the position's letter; each vertex inherits its state's
-    priority.  Infinite paths from (x, 0) are exactly the runs over the
-    lasso from x.  ``vertices`` keeps them in discovery order, so the
-    witness run does not depend on the string hash seed.
+    Vertex i stands for the (state, position) pair ``pairs[i]``; its edges
+    ``succ[i]`` follow the transitions on the position's letter, and it
+    carries its state's priority ``priority[i]``.  Infinite paths from
+    vertex 0, the pair (x, 0), are exactly the runs over the lasso from x.
+    The vertices are numbered in discovery order by a stack walk that
+    numbers each vertex when it pushes it, so the witness run does not
+    depend on the string hash seed.
     """
 
     def __init__(self, aut: ParityWordAutomaton, w: LassoWord, start_state: str):
         if start_state not in aut.states:
             raise AutomatonError(f"undeclared state {start_state!r}")
-        self.aut = aut
-        self.word = w
-        self.start = (start_state, 0)
-        succ: dict[tuple[str, int], list[tuple[str, int]]] = {}
-        frontier = [self.start]
-        seen = {self.start: None}
-        while frontier:
-            v = frontier.pop()
-            y, p = v
-            nxt = w.next_pos(p)
-            targets = [(z, nxt) for z in aut.successors(y, w.letter(p))]
-            succ[v] = targets
-            for u in targets:
-                if u not in seen:
-                    seen[u] = None
-                    frontier.append(u)
+        letters = (*w.stem, *w.cycle)
+        missing = set(letters).difference(aut.alphabet)
+        if missing:
+            raise AutomatonError(f"letters not in automaton alphabet: {sorted(missing)}")
+        last, loop = len(letters) - 1, len(w.stem)
+        successors = aut.successors
+        pairs = [(start_state, 0)]
+        number = {pairs[0]: 0}
+        succ: list = [None]
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            y, p = pairs[v]
+            nxt = p + 1 if p < last else loop
+            out = []
+            for z in successors(y, letters[p]):
+                pair = (z, nxt)
+                u = number.get(pair)
+                if u is None:
+                    u = number[pair] = len(pairs)
+                    pairs.append(pair)
+                    succ.append(None)
+                    stack.append(u)
+                out.append(u)
+            succ[v] = out
+        prio = aut.priorities
+        self.letters = letters
+        self.pairs = pairs
         self.succ = succ
-        self.vertices = seen
+        self.priority = [prio[y] for y, _ in pairs]
 
-    def priority(self, v: tuple[str, int]) -> int:
-        return self.aut.priority(v[0])
-
-    def run_from_paths(self, path: list, cycle: list) -> RunLasso:
-        w = self.word
-        stem = tuple((w.letter(p), y) for (y, p) in path[:-1])
-        cyc = tuple((w.letter(p), y) for (y, p) in cycle)
+    def run_from_paths(self, path: list[int], cycle: list[int]) -> RunLasso:
+        """The run along ``path`` (without its last vertex) and then around
+        ``cycle``, as (letter, state) steps."""
+        letters, pairs = self.letters, self.pairs
+        stem = tuple([(letters[p], y) for y, p in map(pairs.__getitem__, path[:-1])])
+        cyc = tuple([(letters[p], y) for y, p in map(pairs.__getitem__, cycle)])
         return RunLasso(stem, cyc)
 
 
@@ -97,15 +111,16 @@ def lasso_acceptance(aut: ParityWordAutomaton, x: str, w: LassoWord) -> OracleVe
 
     Accepts iff the product graph has a reachable cycle whose maximum
     priority is even; the witness run follows a shortest path to such a
-    cycle and then around it.
+    cycle and then around it.  A state or letter the automaton does not
+    declare raises ``AutomatonError``.
     """
     pg = ProductGraph(aut, w, x)
-    found = cycle_with_max_parity(pg.vertices, pg.succ, pg.priority, parity=0)
+    found = cycle_with_max_parity(range(len(pg.pairs)), pg.succ, pg.priority, parity=0)
     if found is None:
         return OracleVerdict(False)
-    hit, scc, sub_succ = found
-    cycle = cycle_through(hit, scc, sub_succ)
-    path = shortest_path(pg.start, hit, pg.succ)
+    hit, scc = found
+    cycle = cycle_through(hit, scc, pg.succ)
+    path = shortest_path(0, hit, pg.succ)
     return OracleVerdict(True, pg.run_from_paths(path, cycle))
 
 

@@ -96,6 +96,12 @@ class TestMember:
         code, _, err = run(capsys, ["member", intro_file, "--state", "zz", "--lasso", ";ba"])
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("route", [[], ["--oracle"], ["--both"]])
+    def test_letter_outside_alphabet_is_usage_error(self, capsys, intro_file, route):
+        code, out, err = run(capsys, ["member", intro_file, "--state", "x", "--lasso", ";zz"] + route)
+        assert (code, out) == (2, "")
+        assert err == "error: letters not in automaton alphabet: ['z']"
+
     def test_bad_lasso_is_usage_error(self, capsys, intro_file):
         code, _, err = run(capsys, ["member", intro_file, "--state", "x", "--lasso", "ba"])
         assert code == 2

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from inputs import all_lassos
+from runcheck import run_problems
 
 from paritrace.automata import (
     AutomatonError,
@@ -22,6 +23,7 @@ from paritrace.harness import appendix_automaton, intro_automaton
 from paritrace.omega_input import (
     LassoWord,
     RegularTreeRep,
+    RunLasso,
     check_decorated_invariant,
     decorate_run,
     parse_lasso,
@@ -48,8 +50,8 @@ class TestGraphUtil:
 
     def test_cycle_parity_search(self):
         succ = {1: [2], 2: [1]}
-        prio = {1: 1, 2: 2}.get
-        assert cycle_with_max_parity([1, 2], succ, prio, parity=0) == (2, {1, 2}, succ)
+        prio = {1: 1, 2: 2}
+        assert cycle_with_max_parity([1, 2], succ, prio, parity=0) == (2, {1, 2})
         assert cycle_with_max_parity([1, 2], succ, prio, parity=1) is None
 
     def test_enumerate_simple_cycles(self):
@@ -71,6 +73,13 @@ class TestLassoAcceptance:
     def test_intro_negative(self):
         assert not lasso_acceptance(intro_automaton(), "x", parse_lasso("b;a")).value
 
+    def test_foreign_letter_is_refused_like_the_engine(self):
+        with pytest.raises(AutomatonError, match=r"^letters not in automaton alphabet: \['c', 'z'\]$"):
+            lasso_acceptance(intro_automaton(), "x", parse_lasso("c;az"))
+        # the state is checked first, as the engine does
+        with pytest.raises(AutomatonError, match="undeclared state"):
+            lasso_acceptance(intro_automaton(), "w", parse_lasso(";z"))
+
     def test_appendix_cases(self):
         aut = appendix_automaton()
         assert lasso_acceptance(aut, "x", parse_lasso(";b")).value
@@ -89,6 +98,42 @@ class TestLassoAcceptance:
                 xi = decorate_run(verdict.run, aut.priorities)
                 assert check_decorated_invariant(xi, aut.priority(x)) == []
 
+    def test_positive_runs_pass_an_independent_check(self):
+        # automata drawn as in the acceptance campaign, on all short lassos
+        rng = random.Random(25)
+        positives = 0
+        for _ in range(150):
+            params = WordGenParams(
+                n_states=rng.randint(1, 6),
+                n_letters=rng.randint(1, 3),
+                two_n=2 * rng.randint(1, 3),
+                density=rng.uniform(0.1, 0.6),
+            )
+            aut = random_word_automaton(params, rng.random())
+            x = rng.choice(aut.states)
+            transitions = set(aut.transitions)
+            for w in all_lassos(aut.alphabet, 2, 3):
+                verdict = lasso_acceptance(aut, x, w)
+                if verdict.value:
+                    positives += 1
+                    assert run_problems(transitions, aut.priorities, x, w, verdict.run) == [], w
+        assert positives > 1000
+
+    def test_independent_check_rejects_broken_runs(self):
+        trans = {("x", "a", "x"), ("x", "a", "y"), ("y", "a", "y")}
+        prio = {"x": 1, "y": 2}
+        w = parse_lasso(";a")
+        assert run_problems(trans, prio, "x", w, RunLasso((("a", "x"),), (("a", "y"),))) == []
+        broken = {
+            "starts at 'x', not at 'y'": ("y", RunLasso((("a", "x"),), (("a", "y"),))),
+            "step 1: no transition y a x": ("x", RunLasso((("a", "x"), ("a", "y"), ("a", "x")), (("a", "y"),))),
+            "the cycle does not close": ("x", RunLasso((), (("a", "x"), ("a", "y")))),
+            "not the input word": ("x", RunLasso((("b", "x"),), (("a", "y"),))),
+            "maximum priority 1 is odd": ("x", RunLasso((), (("a", "x"),))),
+        }
+        for finding, (x, run) in broken.items():
+            assert any(finding in p for p in run_problems(trans, prio, x, w, run)), finding
+
     def test_negative_verdicts_by_cycle_enumeration(self):
         # exhaustively enumerate product cycles on small instances
         rng = random.Random(1)
@@ -102,9 +147,9 @@ class TestLassoAcceptance:
             if lasso_acceptance(aut, x, w).value:
                 continue
             pg = ProductGraph(aut, w, x)
-            assert len(pg.vertices) <= 64
-            for cycle in enumerate_simple_cycles(pg.vertices, pg.succ):
-                assert max(pg.priority(v) for v in cycle) % 2 == 1
+            assert len(pg.pairs) <= 64
+            for cycle in enumerate_simple_cycles(range(len(pg.pairs)), pg.succ):
+                assert max(pg.priority[v] for v in cycle) % 2 == 1
             checked += 1
         assert checked > 10
 
@@ -137,7 +182,7 @@ def solve_exhaustively(game: ParityGame):
                 game.owner[u] == EXISTS and not succ[u] for u in reach
             ):
                 continue
-            bad = cycle_with_max_parity(reach, succ, lambda u: game.priority[u], parity=1)
+            bad = cycle_with_max_parity(reach, succ, game.priority, parity=1)
             if bad is None:
                 w0.add(v)
     return w0
@@ -170,7 +215,7 @@ def verify_exists_strategy(game: ParityGame, sol: GameSolution):
         for u in reach:
             if game.owner[u] == EXISTS and game.edges.get(u):
                 assert u in sol.exists_strategy
-        bad = cycle_with_max_parity(reach, succ, lambda u: game.priority[u], parity=1)
+        bad = cycle_with_max_parity(reach, succ, game.priority, parity=1)
         assert bad is None, f"odd cycle under the winning strategy at {bad}"
 
 
@@ -296,11 +341,9 @@ class TestBuchiEncodingPreservesLanguage:
         def buchi_oracle(baut: BuchiWordAutomaton, x, w):
             parity = buchi_to_parity(baut)
             pg = ProductGraph(parity, w, x)
-            for scc in strongly_connected_components(pg.vertices, pg.succ):
-                internal = len(scc) > 1 or any(
-                    v in pg.succ.get(v, ()) for v in scc
-                )
-                if internal and any(state in baut.accepting for (state, _) in scc):
+            for scc in strongly_connected_components(range(len(pg.pairs)), pg.succ):
+                internal = len(scc) > 1 or any(v in pg.succ[v] for v in scc)
+                if internal and any(pg.pairs[v][0] in baut.accepting for v in scc):
                     return True
             return False
 

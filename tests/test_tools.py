@@ -27,6 +27,21 @@ def test_ab_rounds_runs_the_repo_against_itself():
     assert lines[3].startswith("  B against A: ")
 
 
+def test_ab_rounds_finds_the_tree_runs_of_one_tree_equal():
+    """Each side loads its own classes, and a run tree equals only one of
+    its own class: the tree-cli warm-up, which compares the tree oracle's
+    runs, must still pass with the repo on both sides."""
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), src, src, "tree-cli", "--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("tree-cli seed 0, rounds per side: 1 (round time, ms)\n")
+
+
 def test_ab_rounds_rejects_a_directory_without_the_package(tmp_path):
     src = str(ROOT / "src")
     proc = subprocess.run(
@@ -85,6 +100,30 @@ def test_ab_rounds_rejects_a_tree_whose_flattening_report_differs(tmp_path):
     assert proc.returncode == 1 and proc.stdout == "", proc.stderr
     assert "error: the two trees give different outputs at op " in proc.stderr
     assert "'invariant': True" in proc.stderr
+
+
+def test_ab_rounds_rejects_a_lasso_oracle_with_another_valid_run(tmp_path):
+    """The campaign warm-up compares each oracle call's whole
+    ``OracleVerdict``: a copy whose lasso oracle returns the same value
+    with another valid run, its cycle repeated twice, is refused before
+    any timed round, and the refusal shows both runs."""
+    src = ROOT / "src"
+    shutil.copytree(src / "paritrace", tmp_path / "paritrace")
+    oracle_py = tmp_path / "paritrace" / "oracle.py"
+    text = oracle_py.read_text(encoding="utf-8")
+    witness = "pg.run_from_paths(path, cycle)"
+    assert text.count(witness) == 1
+    oracle_py.write_text(text.replace(witness, "pg.run_from_paths(path, cycle + cycle)"), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), str(src), str(tmp_path), "campaign"]
+        + ["--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert "error: the two trees give different outputs at op " in proc.stderr
+    assert proc.stderr.count("OracleVerdict(value=True, run=RunLasso(") == 2
 
 
 def test_ab_rounds_rejects_a_parser_that_drops_a_transition(tmp_path):

@@ -14,9 +14,10 @@ warm-up round per side, whose outputs must agree between the sides, and
 each timed round starts after a garbage collection.  An engine call's
 output is its whole ``MembershipVerdict``, the value and the ``SolveStats``
 counters, so the warm-up also checks that both trees count the same
-iterations, body evaluations, positions and widths; a ``campaign`` op's
-flattening check is compared as its whole report (``to_json``), witness
-and checks included.  Before it, each
+iterations, body evaluations, positions and widths.  An oracle call's
+output is its whole ``OracleVerdict``, the value and the witness run; a
+``campaign`` op's flattening check is compared as its whole report
+(``to_json``), witness and checks included.  Before it, each
 side serialises every automaton it parsed, and the two texts must be
 equal, so a parser change that alters what is parsed fails even where no
 verdict shows it.
@@ -69,10 +70,11 @@ def make_round(mods: dict, workload: str, spec: dict):
         ops = [(auts[op["aut"]], op["state"], trees[op["tree"]]) for op in spec["ops"]]
 
         def one(aut, x, t):
-            return (
-                trace.tree_language_membership(aut, x, t),
-                oracle.tree_membership_oracle(aut, x, t).value,
-            )
+            verdict = oracle.tree_membership_oracle(aut, x, t)
+            # a run tree equals only a run tree of its own class, and each
+            # side loads its own classes: compare its root and nodes
+            run = None if verdict.run is None else (verdict.run.root, verdict.run.nodes)
+            return trace.tree_language_membership(aut, x, t), verdict.value, run
 
     else:
         ops = [(auts[op["aut"]], op["state"], omega_input.parse_lasso(op["lasso"])) for op in spec["ops"]]
@@ -80,7 +82,7 @@ def make_round(mods: dict, workload: str, spec: dict):
 
             def one(aut, x, w):
                 engine = trace.parity_trace_membership(aut, x, w)
-                graph = oracle.lasso_acceptance(aut, x, w).value
+                graph = oracle.lasso_acceptance(aut, x, w)
                 report = trace.flattening_theorem_check(aut, x, w)
                 return engine, graph, report.to_json()
 
