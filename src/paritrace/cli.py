@@ -244,10 +244,12 @@ def _cmd_fuzz(args) -> int:
     cfg = harness_mod.CampaignConfig()
     if args.config:
         try:
-            cfg = harness_mod.CampaignConfig.from_json(json.loads(_read(args.config)))
-        except json.JSONDecodeError as exc:
+            doc = json.loads(_read(args.config))
+        except (json.JSONDecodeError, RecursionError) as exc:
             print(f"error: {args.config}: not valid JSON: {exc}", file=sys.stderr)
             return USAGE_EXIT
+        try:
+            cfg = harness_mod.CampaignConfig.from_json(doc)
         except harness_mod.ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_EXIT

@@ -2,9 +2,9 @@
 
 Nothing in here touches the equation-system machinery: lasso membership is
 decided on the synchronized product graph by cycle analysis, tree membership
-by a parity game solved with the classic recursive algorithm.  The point is
-structural diversity from the fixpoint engine, so agreement between the two
-routes is evidence, not tautology.
+by a parity game on numbered vertices, solved with Zielonka's algorithm in
+its loop form.  The point is structural diversity from the fixpoint engine,
+so agreement between the two routes is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ __all__ = [
     "lasso_acceptance",
     "EXISTS",
     "FORALL",
-    "ParityGame",
-    "GameSolution",
-    "zielonka_solve",
+    "solve_parity_game",
     "tree_membership_oracle",
     "finite_run_enumeration",
     "MAX_FINITE_LEN",
@@ -131,160 +129,105 @@ def lasso_acceptance(aut: ParityWordAutomaton, x: str, w: LassoWord) -> OracleVe
 EXISTS = 0  # wins a play iff the maximum priority seen infinitely often is even
 FORALL = 1
 
-_SINK_EVEN = ("__sink__", 0)
-_SINK_ODD = ("__sink__", 1)
 
+def solve_parity_game(owner: list, prio: list, succ: list) -> tuple[set, list]:
+    """Exists' winning region and a positional winning strategy on it.
 
-class ParityGame:
-    """Two-player parity game; a dead end loses for the vertex's owner."""
+    Vertex v of 0..n-1 belongs to ``owner[v]``, carries priority ``prio[v]``
+    and moves to one of ``succ[v]``, which must not be empty.
+    ``strategy[v]`` is Exists' move at each Exists vertex of the region and
+    None elsewhere.
 
-    def __init__(self, owner, edges, priority):
-        self.owner = dict(owner)
-        self.edges = {v: tuple(dict.fromkeys(ws)) for v, ws in edges.items()}
-        self.priority = dict(priority)
-        for v in self.owner:
-            if self.owner[v] not in (EXISTS, FORALL):
-                raise ValueError(f"vertex {v!r}: owner must be EXISTS or FORALL")
-            if v not in self.priority:
-                raise ValueError(f"vertex {v!r} has no priority")
-            if self.priority[v] < 0:
-                raise ValueError(f"vertex {v!r}: negative priority")
-        for v, ws in self.edges.items():
-            if v not in self.owner:
-                raise ValueError(f"edges from unknown vertex {v!r}")
-            for w in ws:
-                if w not in self.owner:
-                    raise ValueError(f"edge {v!r} -> {w!r}: unknown target")
-
-    def vertices(self):
-        return self.owner.keys()
-
-
-class GameSolution(
-    namedtuple("GameSolution", "exists_region forall_region exists_strategy forall_strategy")
-):
-    """Winning regions (frozensets) and positional strategies (dicts) of
-    both players."""
-
-    __slots__ = ()
-
-
-def _attract(
-    player: int, base: set, live: set, owner, succ, pred
-) -> tuple[set, dict]:
-    """Attractor of ``base`` for ``player`` within ``live`` vertices.
-
-    Also returns the attractor strategy: for player-owned vertices pulled in
-    (outside the base), one edge moving strictly toward the base.
+    Zielonka's algorithm (TCS 1998) in its loop form: a call peels the
+    vertices of the top priority p, with their attractor for p's player,
+    and solves the rest.  If the opponent wins none of the rest, p's player
+    wins the whole game; otherwise the opponent's attractor of that region
+    is won by the opponent and the call loops on what is left.  Suspended
+    calls live on an explicit stack, so no depth limit applies.
     """
-    attracted = set(base)
-    strategy: dict = {}
-    # count remaining escape edges for opponent vertices
-    out_count = {
-        v: sum(1 for w in succ.get(v, ()) if w in live)
-        for v in live
-        if owner[v] != player
-    }
-    queue = list(base)
-    while queue:
-        u = queue.pop()
-        for v in pred.get(u, ()):
-            if v not in live or v in attracted:
-                continue
-            if owner[v] == player:
-                attracted.add(v)
-                strategy[v] = u
-                queue.append(v)
-            else:
-                out_count[v] -= 1
-                if out_count[v] == 0:
-                    attracted.add(v)
-                    queue.append(v)
-    return attracted, strategy
-
-
-def _zielonka(live: set, owner, succ, pred, priority):
-    if not live:
-        return set(), set(), {}, {}
-    p = max(priority[v] for v in live)
-    player = EXISTS if p % 2 == 0 else FORALL
-    opp = 1 - player
-    top = {v for v in live if priority[v] == p}
-    region_a, a_strat = _attract(player, top, live, owner, succ, pred)
-    w0, w1, s0, s1 = _zielonka(live - region_a, owner, succ, pred, priority)
-    wins = (w0, w1)
-    strats = (s0, s1)
-    if not wins[opp]:
-        strat = dict(strats[player])
-        strat.update(a_strat)
-        for v in top:
-            if owner[v] == player and v not in strat:
-                for u in succ.get(v, ()):
-                    if u in live:
-                        strat[v] = u
-                        break
-        if player == EXISTS:
-            return set(live), set(), strat, {}
-        return set(), set(live), {}, strat
-    region_b, b_strat = _attract(opp, wins[opp], live, owner, succ, pred)
-    w0b, w1b, s0b, s1b = _zielonka(live - region_b, owner, succ, pred, priority)
-    opp_strat = dict(s1b if opp == FORALL else s0b)
-    opp_strat.update(b_strat)
-    # inside the first-stage opponent region the first-stage strategy stands
-    first = strats[opp]
-    for v, u in first.items():
-        if v in wins[opp]:
-            opp_strat.setdefault(v, u)
-    if opp == FORALL:
-        return w0b, w1b | region_b, s0b, opp_strat
-    return w0b | region_b, w1b, opp_strat, s1b
-
-
-def zielonka_solve(game: ParityGame) -> GameSolution:
-    """Exact winning regions and positional strategies, recursively.
-
-    Dead ends are totalised through two self-loop sinks (an odd one losing
-    for the Exists player, an even one losing for Forall) before running the
-    textbook recursion; the sinks are stripped from the answer.
-    """
-    owner = dict(game.owner)
-    succ = {v: list(game.edges.get(v, ())) for v in game.owner}
-    priority = dict(game.priority)
-    owner[_SINK_EVEN] = FORALL
-    owner[_SINK_ODD] = EXISTS
-    priority[_SINK_EVEN] = 2
-    priority[_SINK_ODD] = 1
-    succ[_SINK_EVEN] = [_SINK_EVEN]
-    succ[_SINK_ODD] = [_SINK_ODD]
-    for v in game.owner:
-        if not succ[v]:
-            succ[v] = [_SINK_ODD if game.owner[v] == EXISTS else _SINK_EVEN]
-    pred: dict = {v: [] for v in owner}
-    for v, ws in succ.items():
+    n = len(owner)
+    pred: list = [[] for _ in range(n)]
+    for v, ws in enumerate(succ):
         for w in ws:
             pred[w].append(v)
-    live = set(owner)
-    w0, w1, s0, s1 = _zielonka(live, owner, succ, pred, priority)
-    sinks = {_SINK_EVEN, _SINK_ODD}
-    real = set(game.owner)
+    strategy: list = [None] * n
 
-    def clean(strat):
-        return {v: u for v, u in strat.items() if v in real and u not in sinks}
+    def attract(player: int, base, live: set) -> set:
+        """Attractor of ``base`` for ``player`` within ``live``, breadth
+        first; each Exists vertex it pulls in moves one step toward
+        ``base``.  An opponent vertex's live out-degree is counted when an
+        edge first reaches it."""
+        region = set(base)
+        escapes: dict = {}
+        queue = list(base)
+        for u in queue:
+            for v in pred[u]:
+                if v in region or v not in live:
+                    continue
+                if owner[v] != player:
+                    left = escapes.get(v)
+                    if left is None:
+                        left = sum(w in live for w in succ[v])
+                    escapes[v] = left = left - 1
+                    if left:
+                        continue
+                elif player == EXISTS:
+                    strategy[v] = u
+                region.add(v)
+                queue.append(v)
+        return region
 
-    return GameSolution(
-        exists_region=frozenset(w0 & real),
-        forall_region=frozenset(w1 & real),
-        exists_strategy=clean(s0),
-        forall_strategy=clean(s1),
-    )
+    frames = []  # suspended calls: (live, won, player, top, peeled)
+    live, won = set(range(n)), set()
+    while True:
+        if live:
+            p = max([prio[v] for v in live])
+            player = p & 1
+            top = [v for v in live if prio[v] == p]
+            peeled = attract(player, top, live)
+            frames.append((live, won, player, top, peeled))
+            live, won = live - peeled, set()
+            continue
+        # the call on the game just emptied returns Exists' region ``won``
+        if not frames:
+            return won, strategy
+        sub = won
+        live, won, player, top, peeled = frames.pop()
+        if player == EXISTS and len(sub) + len(peeled) == len(live):
+            won |= live
+            for v in top:
+                if owner[v] == EXISTS:
+                    strategy[v] = next(w for w in succ[v] if w in live)
+            live = set()
+        elif player == EXISTS:
+            live = live - attract(FORALL, live - peeled - sub, live)
+        elif sub:
+            gained = attract(EXISTS, sub, live)
+            won |= gained
+            live = live - gained
+        else:
+            live = set()
 
 
 # ---------------------------------------------------------------------------
 # Tree membership via the acceptance game
 # ---------------------------------------------------------------------------
 
-def _membership_game(aut: ParityTreeAutomaton, x: str, t: RegularTreeRep) -> ParityGame:
-    """Exists picks transitions at (state, node); Forall picks a branch."""
+def tree_membership_oracle(aut: ParityTreeAutomaton, x: str, t: RegularTreeRep) -> OracleVerdict:
+    """Decide membership of the tree's unfolding by solving its acceptance
+    game.
+
+    Exists owns the (state, node) vertices and picks a transition on the
+    node's symbol; Forall owns the chosen transitions and picks a child.
+    The vertices are numbered in discovery order from (x, root), and a dead
+    end loses for its owner through a self-loop sink, made when a dead end
+    first needs it.  A positive verdict returns the regular run tree of
+    Exists' positional winning strategy; it does not depend on the string
+    hash seed.  An undeclared state, a symbol outside the alphabet or a node
+    whose child count is not its symbol's arity raises ``AutomatonError``.
+    """
+    if x not in aut.states:
+        raise AutomatonError(f"undeclared state {x!r}")
     for n in t.node_ids():
         lab = t.label(n)
         if lab not in aut.alphabet:
@@ -294,76 +237,69 @@ def _membership_game(aut: ParityTreeAutomaton, x: str, t: RegularTreeRep) -> Par
                 f"node {n!r}: symbol {lab!r} has arity {aut.alphabet.arity(lab)}, "
                 f"tree gives {len(t.children(n))} children"
             )
-    owner: dict = {}
-    edges: dict = {}
-    priority: dict = {}
-    start = ("E", x, t.root)
-    stack = [start]
+    priorities = aut.priorities
+    # label[v]: (state, node) at an Exists vertex, (symbol, targets) at a
+    # Forall one, None at a sink
+    label, owner, prio, succ = [(x, t.root)], [EXISTS], [priorities[x]], [None]
+    number = {label[0]: 0}
+    sinks: dict = {}
+
+    def add(who: int, p: int, lab) -> int:
+        label.append(lab)
+        owner.append(who)
+        prio.append(p)
+        succ.append(None)
+        return len(label) - 1
+
+    def sink(who: int) -> int:
+        """The self-loop that ``who`` loses: priority 1 for Exists, 0 for
+        Forall."""
+        s = sinks.get(who)
+        if s is None:
+            s = sinks[who] = add(who, 1 - who, None)
+            succ[s] = [s]
+        return s
+
+    stack = [0]
     while stack:
         v = stack.pop()
-        if v in owner:
-            continue
-        if v[0] == "E":
-            _, y, n = v
-            owner[v] = EXISTS
-            priority[v] = aut.priority(y)
-            outs = []
-            for sym, targets in aut.transitions_from(y):
-                if sym != t.label(n):
-                    continue
-                u = ("A", y, n, sym, targets)
-                outs.append(u)
-                stack.append(u)
-            edges[v] = outs
-        else:
-            _, y, n, sym, targets = v
-            owner[v] = FORALL
-            priority[v] = 1
-            outs = []
-            for child_state, child_node in zip(targets, t.children(n)):
-                u = ("E", child_state, child_node)
-                outs.append(u)
-                stack.append(u)
-            edges[v] = outs
-    return ParityGame(owner, edges, priority)
+        y, n = label[v]
+        symbol, kids = t.label(n), t.children(n)
+        moves = []
+        for sym, targets in aut.transitions_from(y):
+            if sym != symbol:
+                continue
+            u = add(FORALL, 1, (sym, targets))
+            branches = []
+            for pair in zip(targets, kids):
+                w = number.get(pair)
+                if w is None:
+                    w = number[pair] = add(EXISTS, priorities[pair[0]], pair)
+                    stack.append(w)
+                branches.append(w)
+            succ[u] = branches or [sink(FORALL)]
+            moves.append(u)
+        succ[v] = moves or [sink(EXISTS)]
 
-
-def tree_membership_oracle(aut: ParityTreeAutomaton, x: str, t: RegularTreeRep) -> OracleVerdict:
-    """Decide membership of the tree's unfolding by solving the parity game.
-
-    A positive verdict returns the regular run tree induced by the winning
-    positional strategy.
-    """
-    if x not in aut.states:
-        raise AutomatonError(f"undeclared state {x!r}")
-    game = _membership_game(aut, x, t)
-    sol = zielonka_solve(game)
-    start = ("E", x, t.root)
-    if start not in sol.exists_region:
+    won, strategy = solve_parity_game(owner, prio, succ)
+    if 0 not in won:
         return OracleVerdict(False)
     nodes: dict = {}
-    stack = [start]
-    seen = set()
+    stack = [0]
+    seen = {0}
     while stack:
         v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        _, y, n = v
-        choice = sol.exists_strategy.get(v)
-        if choice is None:
-            # no transition needed: impossible for a won vertex unless the
-            # state has a matching nullary transition chosen below
-            raise AssertionError(f"missing strategy at won vertex {v!r}")
-        _, _, _, sym, targets = choice
+        y, n = label[v]
+        sym, targets = label[strategy[v]]
         kid_ids = []
-        for child_state, child_node in zip(targets, t.children(n)):
-            u = ("E", child_state, child_node)
-            kid_ids.append(f"{child_state}@{child_node}")
-            stack.append(u)
+        for z, m in zip(targets, t.children(n)):
+            kid_ids.append(f"{z}@{m}")
+            w = number[z, m]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
         nodes[f"{y}@{n}"] = ((sym, y), tuple(kid_ids))
-    run = RunTreeRep(nodes, f"{x}@{t.root}")
-    return OracleVerdict(True, run)
+    return OracleVerdict(True, RunTreeRep(nodes, f"{x}@{t.root}"))
 
 
 def finite_run_enumeration(aut: ParityWordAutomaton, x: str, maxlen: int) -> frozenset:

@@ -375,6 +375,8 @@ class TestBadFiles:
             '{"finite_maxlen": 8, "max_letters": 3, "properties": ["finite-traces"]}',
             # more letters than the word generators have
             '{"max_letters": 20, "properties": ["engine-vs-oracle"]}',
+            # deeper than the JSON decoder's recursion
+            pytest.param("[" * 100000, id="deep-nesting"),
         ],
     )
     def test_bad_fuzz_config(self, capsys, tmp_path, text):
@@ -492,6 +494,26 @@ class TestLimits:
         doc = json.loads(out)
         assert code == 0 and doc["verdict"] is True
         assert len(doc["stats"]["iterations"]) == 1
+
+    def test_1500_priority_tree_chain(self, capsys, tmp_path):
+        # s_i -> g(s_(i-1)) down to the odd self-loop of s0: the acceptance
+        # game has 1,500 distinct priorities on one path
+        n = 1500
+        states = [f"s{i}" for i in range(n)]
+        lines = [
+            "tree-parity",
+            "ranked-alphabet: g/1",
+            "states: " + " ".join(states),
+            "priorities: " + " ".join(f"s{i}:{i + 1}" for i in range(n)),
+            "trans: s0 -> g(s0);",
+        ]
+        lines += [f"trans: s{i} -> g(s{i - 1});" for i in range(1, n)]
+        aut = tmp_path / "chain.aut"
+        aut.write_text("\n".join(lines) + "\n")
+        tree = tmp_path / "loop.tree"
+        tree.write_text("tree\nroot: n0\nnode n0 = g(n0);\n")
+        argv = ["tree-member", str(aut), str(tree), "--state", f"s{n - 1}", "--both"]
+        assert run(capsys, argv) == (0, "false", "")
 
     @staticmethod
     def hes_chain(tmp_path, n, alternating):

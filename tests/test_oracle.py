@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from games import GameSolution, ParityGame, zielonka_solve
 from inputs import all_lassos
-from runcheck import run_problems
+from runcheck import run_problems, tree_run_problems
+from test_cli import cold_run
 
 from paritrace.automata import (
     AutomatonError,
@@ -32,13 +34,10 @@ from paritrace.omega_input import (
 from paritrace.oracle import (
     EXISTS,
     FORALL,
-    GameSolution,
-    ParityGame,
     ProductGraph,
     finite_run_enumeration,
     lasso_acceptance,
     tree_membership_oracle,
-    zielonka_solve,
 )
 
 
@@ -258,6 +257,15 @@ class TestZielonka:
             verify_exists_strategy(g, zielonka_solve(g))
 
 
+def assert_lawful_tree_run(aut, x, t):
+    """The oracle accepts ``t`` from ``x`` with a run tree that the
+    independent checker finds lawful; returns the verdict."""
+    verdict = tree_membership_oracle(aut, x, t)
+    assert verdict.value
+    assert tree_run_problems(set(aut.transitions), aut.priorities, x, t, verdict.run) == []
+    return verdict
+
+
 def chain_tree_automaton():
     alph = RankedAlphabet([("f", 1), ("c", 0)])
     return ParityTreeAutomaton(
@@ -274,7 +282,7 @@ class TestTreeOracle:
 
         aut = chain_tree_automaton()
         t = RegularTreeRep({"n0": ("f", ("n1",)), "n1": ("c", ())}, "n0")
-        assert tree_membership_oracle(aut, "x", t).value
+        assert_lawful_tree_run(aut, "x", t)
         # no matching chain from y at the root symbol
         assert not tree_membership_oracle(aut, "y", t).value
 
@@ -285,7 +293,7 @@ class TestTreeOracle:
         t = RegularTreeRep({"n": ("f", ("n",))}, "n")
         accept = ParityTreeAutomaton(("x",), alph, [("x", "f", ("x",))], {"x": 2})
         reject = ParityTreeAutomaton(("x",), alph, [("x", "f", ("x",))], {"x": 1})
-        assert tree_membership_oracle(accept, "x", t).value
+        assert_lawful_tree_run(accept, "x", t)
         assert not tree_membership_oracle(reject, "x", t).value
 
     def test_arity_mismatch_raises(self):
@@ -307,13 +315,78 @@ class TestTreeOracle:
             {"x": 2, "y": 2},
         )
         t = RegularTreeRep({"n0": ("f", ("n0", "n1")), "n1": ("c", ())}, "n0")
-        verdict = tree_membership_oracle(aut, "x", t)
-        assert verdict.value
+        verdict = assert_lawful_tree_run(aut, "x", t)
         xi = decorate_run(verdict.run, aut.priorities)
         assert check_decorated_invariant(xi, 2) == []
         from paritrace.omega_input import delst
 
         assert tree_reps_bisimilar(delst(xi), t)
+
+    def test_independent_check_rejects_broken_runs(self):
+        from paritrace.omega_input import RunTreeRep
+
+        alph = RankedAlphabet([("g", 1), ("h", 1)])
+        aut = ParityTreeAutomaton(
+            ("x", "y", "z"),
+            alph,
+            [("x", "g", ("x",)), ("x", "h", ("x",)), ("y", "g", ("y",)), ("z", "g", ("z",))],
+            {"x": 2, "y": 2, "z": 1},
+        )
+        t = RegularTreeRep({"n": ("g", ("n",))}, "n")
+        lawful = assert_lawful_tree_run(aut, "x", t).run
+        assert lawful.nodes == {"x@n": (("g", "x"), ("x@n",))}
+        broken = {
+            # x reads g and moves to y, which no transition does
+            "no transition x -> g('y',)": (
+                "x",
+                {"x@n": (("g", "x"), ("y@n",)), "y@n": (("g", "y"), ("y@n",))},
+            ),
+            # the run reads h where the tree has g
+            "run node x@n reads h/1, tree node n is g/1": ("x", {"x@n": (("h", "x"), ("x@n",))}),
+            # a lawful accepting run, but from y
+            "the run starts at 'y', not at 'x'": ("x", {"y@n": (("g", "y"), ("y@n",))}),
+            # a lawful run from z, on a cycle of odd priority
+            "maximum priority 1 is odd": ("z", {"z@n": (("g", "z"), ("z@n",))}),
+        }
+        for finding, (x, nodes) in broken.items():
+            run = RunTreeRep(nodes, next(iter(nodes)))
+            problems = tree_run_problems(set(aut.transitions), aut.priorities, x, t, run)
+            assert len(problems) == 1 and finding in problems[0], problems
+
+
+TREE_FAMILY = """
+import hashlib, random
+from paritrace.automata import ParityTreeAutomaton, RankedAlphabet
+from paritrace.omega_input import random_regular_tree
+from paritrace.oracle import tree_membership_oracle
+
+alphabet = RankedAlphabet([("f", 2), ("g", 1), ("c", 0)])
+states = [f"s{i}" for i in range(6)]
+rng = random.Random(26)
+runs = []
+for _ in range(300):
+    transitions = [
+        (x, sym, tuple(rng.choice(states) for _ in range(alphabet.arity(sym))))
+        for x in states
+        for sym in alphabet.symbols
+        for _ in range(rng.randint(0, 3))
+    ]
+    aut = ParityTreeAutomaton(states, alphabet, transitions, {x: rng.randint(1, 4) for x in states})
+    t = random_regular_tree(alphabet, rng.randint(1, 6), rng)
+    verdict = tree_membership_oracle(aut, rng.choice(states), t)
+    if verdict.value:
+        runs.append((verdict.run.root, sorted(verdict.run.nodes.items())))
+print(len(runs), hashlib.sha256(repr(runs).encode()).hexdigest())
+"""
+
+
+class TestTreeOracleDeterminism:
+    def test_run_trees_do_not_depend_on_hash_seed(self):
+        # nondeterministic automata leave the solver many winning strategies
+        outs = {cold_run(["-c", TREE_FAMILY], seed) for seed in ("0", "1", "2")}
+        assert len(outs) == 1
+        positives = int(outs.pop().split()[0])
+        assert 100 < positives < 200
 
 
 class TestFiniteRuns:
@@ -412,6 +485,7 @@ class TestWitnessRoundTrips:
             if not verdict.value:
                 continue
             found += 1
+            assert tree_run_problems(set(aut.transitions), aut.priorities, x, t, verdict.run) == []
             assert tree_reps_bisimilar(symbol_tree(verdict.run), t)
             xi = decorate_run(verdict.run, aut.priorities)
             assert tree_reps_bisimilar(delst(xi), t)

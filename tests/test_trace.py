@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from inputs import all_lassos
 from routes import finite_trace_membership, infinitary_trace_membership
+from runcheck import tree_run_problems
 
 from paritrace import graphutil, trace
 from paritrace import hes as hes_mod
@@ -749,7 +750,10 @@ class TestWideDifferential:
         for _ in range(40):
             aut, x, t = wide_tree_case(rng)
             v = tree_language_membership(aut, x, t).value
-            assert v == tree_membership_oracle(aut, x, t).value, x
+            oracle = tree_membership_oracle(aut, x, t)
+            assert v == oracle.value, x
+            if v:
+                assert tree_run_problems(set(aut.transitions), aut.priorities, x, t, oracle.run) == []
             verdicts.append(v)
         assert True in verdicts and False in verdicts
 
@@ -832,6 +836,7 @@ class TestCompaction:
             oracle = tree_membership_oracle(aut, x, t)
             assert v == oracle.value, (aut.priorities, x)
             if v:
+                assert tree_run_problems(set(aut.transitions), aut.priorities, x, t, oracle.run) == []
                 xi = decorate_run(oracle.run, aut.priorities)
                 assert decorated_trace_membership(aut, x, xi).value
             verdicts.append(v)
@@ -1061,6 +1066,8 @@ class TestCone:
             v = tree_language_membership(aut, x, t)
             oracle = tree_membership_oracle(aut, x, t)
             assert v.value == literal_verdict(aut, x, t) == oracle.value, (aut.priorities, x)
+            if oracle.value:
+                assert tree_run_problems(set(aut.transitions), aut.priorities, x, t, oracle.run) == []
             assert sum(v.stats.widths) == len(cone), x
             used = sorted(set(aut.priorities.values()))
             xi = DecoratedRegularTreeRep(
